@@ -21,6 +21,7 @@ from .baselines import (
     systematic_resample,
     ukf_update,
     unscented_transform,
+    weight_particles,
 )
 from .core import (
     AnalyticMeasurementModel,
@@ -38,7 +39,6 @@ from .decorrelation import (
 )
 from .errors import (
     ConfigError,
-    DegenerateWeights,
     EmptySample,
     GridTooSmall,
     NonFiniteEvaluation,
@@ -57,6 +57,7 @@ from .evaluation import (
     ellipsoid_coverage,
     error_quantiles,
     kl_divergence_grid,
+    kl_divergence_mass,
 )
 from .harness import (
     FILTERS,
@@ -65,6 +66,7 @@ from .harness import (
     MetricsReport,
     config_hash,
     emit_report,
+    format_report,
     parse_filter,
     read_report,
     run_campaign,

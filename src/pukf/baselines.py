@@ -1,10 +1,12 @@
 """Baseline estimators: EKF, analytic EKF2, UKF, IEKF, RUF, bootstrap PF.
 
 These are the comparison points for the partitioned filter.  The Kalman-
-style updates all share the P - K S K' posterior form; the differences are
-only in how the predicted measurement moments are obtained (first-order
-Jacobian, second-order traces, sigma points, iteration, or repeated
-reduced-weight updates).
+style updates all finish in the shared correction ``core._correct``; the
+differences are only in how the predicted measurement moments are obtained
+(first-order Jacobian, second-order traces, sigma points, iteration, or
+repeated reduced-weight updates).  The particle filter's step is
+``weight_particles`` followed by ``systematic_resample``; the harness's
+particle reference reuses the weighting step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import (
     GaussianState,
     LinearStateModel,
     MeasurementModel,
-    _gain,
+    _correct,
     matrix_sqrt,
     symmetrize,
 )
@@ -36,6 +38,7 @@ __all__ = [
     "systematic_resample",
     "propagate_particles",
     "log_likelihood",
+    "weight_particles",
     "bootstrap_pf_step",
     "sample_gaussian",
 ]
@@ -44,12 +47,11 @@ __all__ = [
 def ekf_update(prior: GaussianState, model: AnalyticMeasurementModel) -> GaussianState:
     """First-order extended Kalman update with an analytic Jacobian."""
     jac = np.atleast_2d(model.jacobian(prior.mean))
-    s = symmetrize(jac @ prior.cov @ jac.T + model.noise_cov)
-    gain = _gain(s, prior.cov @ jac.T)
     residual = model.value - np.atleast_1d(model.func(prior.mean))
-    mean = prior.mean + gain @ residual
-    cov = symmetrize(prior.cov - gain @ s @ gain.T)
-    return GaussianState(mean, cov)
+    s = jac @ prior.cov @ jac.T + model.noise_cov
+    return GaussianState(
+        *_correct(prior.mean, prior.cov, residual, s, prior.cov @ jac.T)
+    )
 
 
 def _trace_corrections(cov: np.ndarray, hessians: np.ndarray):
@@ -75,11 +77,10 @@ def ekf2_update_analytic(
     hes = np.asarray(model.hessians(prior.mean), dtype=float)
     xi, big_xi = _trace_corrections(prior.cov, hes)
     yhat = np.atleast_1d(model.func(prior.mean)) + 0.5 * xi
-    s = symmetrize(jac @ prior.cov @ jac.T + 0.5 * big_xi + model.noise_cov)
-    gain = _gain(s, prior.cov @ jac.T)
-    mean = prior.mean + gain @ (model.value - yhat)
-    cov = symmetrize(prior.cov - gain @ s @ gain.T)
-    return GaussianState(mean, cov)
+    s = jac @ prior.cov @ jac.T + 0.5 * big_xi + model.noise_cov
+    return GaussianState(
+        *_correct(prior.mean, prior.cov, model.value - yhat, s, prior.cov @ jac.T)
+    )
 
 
 @dataclass(frozen=True)
@@ -136,11 +137,10 @@ def ukf_update(
     y_mean, y_cov, xy_cov = unscented_transform(
         model.func, prior.mean, prior.cov, params
     )
-    s = symmetrize(y_cov + model.noise_cov)
-    gain = _gain(s, xy_cov)
-    mean = prior.mean + gain @ (model.value - y_mean)
-    cov = symmetrize(prior.cov - gain @ s @ gain.T)
-    return GaussianState(mean, cov)
+    s = y_cov + model.noise_cov
+    return GaussianState(
+        *_correct(prior.mean, prior.cov, model.value - y_mean, s, xy_cov)
+    )
 
 
 def iekf_update(
@@ -156,15 +156,11 @@ def iekf_update(
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     mu0 = prior.mean
     x = mu0
-    gain = None
-    s = None
     for _ in range(iterations):
         jac = np.atleast_2d(model.jacobian(x))
-        s = symmetrize(jac @ prior.cov @ jac.T + model.noise_cov)
-        gain = _gain(s, prior.cov @ jac.T)
+        s = jac @ prior.cov @ jac.T + model.noise_cov
         residual = model.value - np.atleast_1d(model.func(x)) - jac @ (mu0 - x)
-        x = mu0 + gain @ residual
-    cov = symmetrize(prior.cov - gain @ s @ gain.T)
+        x, cov = _correct(mu0, prior.cov, residual, s, prior.cov @ jac.T)
     return GaussianState(x, cov)
 
 
@@ -186,10 +182,9 @@ def ruf_update(
     cov = prior.cov
     for _ in range(steps):
         jac = np.atleast_2d(model.jacobian(mean))
-        s = symmetrize(jac @ cov @ jac.T + inflated)
-        gain = _gain(s, cov @ jac.T)
-        mean = mean + gain @ (model.value - np.atleast_1d(model.func(mean)))
-        cov = symmetrize(cov - gain @ s @ gain.T)
+        residual = model.value - np.atleast_1d(model.func(mean))
+        s = jac @ cov @ jac.T + inflated
+        mean, cov = _correct(mean, cov, residual, s, cov @ jac.T)
     return GaussianState(mean, cov)
 
 
@@ -296,13 +291,13 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     return out
 
 
-def bootstrap_pf_step(
+def weight_particles(
     cloud: ParticleCloud,
     state_model: LinearStateModel,
     model: MeasurementModel,
-    rng,
+    rng: np.random.Generator,
 ) -> ParticleCloud:
-    """One bootstrap particle-filter step: propagate, weight, resample.
+    """Propagate a cloud and weight it by the measurement likelihood.
 
     Log-weights are shifted by their maximum before exponentiation.  If
     every weight still underflows to zero (or is non-finite), the weights
@@ -310,7 +305,6 @@ def bootstrap_pf_step(
     instead of raising, so a long campaign records the divergence and
     moves on.
     """
-    rng = np.random.default_rng(rng)
     particles = propagate_particles(cloud.particles, state_model, rng)
     logw = log_likelihood(model, particles)
     with np.errstate(invalid="ignore"):
@@ -323,6 +317,20 @@ def bootstrap_pf_step(
     total = weights.sum()
     if total <= 0.0 or not np.isfinite(total):
         return ParticleCloud.uniform(particles, degenerate=True)
-    weights = weights / total
-    idx = systematic_resample(weights, rng)
-    return ParticleCloud.uniform(particles[idx])
+    return ParticleCloud(particles, weights / total)
+
+
+def bootstrap_pf_step(
+    cloud: ParticleCloud,
+    state_model: LinearStateModel,
+    model: MeasurementModel,
+    rng,
+) -> ParticleCloud:
+    """One bootstrap particle-filter step: :func:`weight_particles`, then
+    systematic resampling unless the weighting came back degenerate."""
+    rng = np.random.default_rng(rng)
+    weighted = weight_particles(cloud, state_model, model, rng)
+    if weighted.degenerate:
+        return weighted
+    idx = systematic_resample(weighted.weights, rng)
+    return ParticleCloud.uniform(weighted.particles[idx])

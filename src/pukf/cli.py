@@ -7,6 +7,7 @@ problems writing or reading report files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,8 +17,8 @@ from .harness import (
     SCENARIOS,
     CampaignConfig,
     emit_report,
+    format_report,
     run_campaign,
-    _report_csv,
 )
 
 
@@ -73,35 +74,13 @@ def _merge_config(args) -> CampaignConfig:
         if not isinstance(values, dict):
             raise ConfigError("config file must contain a JSON object")
 
-    for key in (
-        "scenario",
-        "filters",
-        "runs",
-        "steps",
-        "seed",
-        "ref_particles",
-        "jobs",
-        "out",
-        "format",
-        "include_timing",
-    ):
+    keys = [f.name for f in dataclasses.fields(CampaignConfig)]
+    for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
 
-    unknown = set(values) - {
-        "scenario",
-        "filters",
-        "runs",
-        "steps",
-        "seed",
-        "ref_particles",
-        "jobs",
-        "out",
-        "format",
-        "include_timing",
-        "scenario_overrides",
-    }
+    unknown = set(values) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in values:
@@ -111,10 +90,6 @@ def _merge_config(args) -> CampaignConfig:
         filters = [f for f in filters.split(",") if f.strip()]
     values["filters"] = tuple(filters)
 
-    defaults = {"runs": 200, "seed": 0, "ref_particles": 0, "jobs": 1,
-                "format": "csv", "include_timing": False}
-    for key, val in defaults.items():
-        values.setdefault(key, val)
     try:
         return CampaignConfig(**values)
     except TypeError as exc:
@@ -142,7 +117,7 @@ def main(argv=None) -> int:
             emit_report(report, cfg.out, cfg.format)
             print(f"wrote {cfg.out}", file=sys.stderr)
         else:
-            sys.stdout.write(_report_csv(report))
+            sys.stdout.write(format_report(report, cfg.format))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -181,6 +181,11 @@ class LinearStateModel:
     def dim(self) -> int:
         return self.transition.shape[0]
 
+    def predict(self, state: GaussianState) -> GaussianState:
+        """Exact linear prediction N(F m, F P F' + W)."""
+        f = self.transition
+        return GaussianState(f @ state.mean, f @ state.cov @ f.T + self.noise_cov)
+
 
 def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor L with L L' = cov.
@@ -265,3 +270,15 @@ def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _gain(s: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Kalman gain  cross @ inv(S)  via an SPD solve."""
     return _solve_spd(s, cross.T).T
+
+
+def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman correction shared by every Gaussian update in the package.
+
+    With innovation covariance S (symmetrized here) and cross covariance
+    C, the gain is K = C inv(S) and the result is (mean + K r, P - K S K')
+    as plain arrays, so iterating callers validate no intermediate state.
+    """
+    s = symmetrize(s)
+    gain = _gain(s, cross)
+    return mean + gain @ residual, symmetrize(cov - gain @ s @ gain.T)

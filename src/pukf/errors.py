@@ -35,10 +35,6 @@ class RoundLimitExceeded(PukfError):
     """A partitioned update ran more rounds than its configured limit."""
 
 
-class DegenerateWeights(PukfError):
-    """All particle likelihoods underflowed to zero."""
-
-
 class EmptySample(PukfError):
     """A statistic was requested from an empty sample."""
 

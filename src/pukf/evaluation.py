@@ -24,6 +24,7 @@ __all__ = [
     "ellipsoid_coverage",
     "Grid2D",
     "kl_divergence_grid",
+    "kl_divergence_mass",
 ]
 
 DEFAULT_PROBS = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -106,6 +107,18 @@ class Grid2D:
             (self.x_edges[1] - self.x_edges[0]) * (self.y_edges[1] - self.y_edges[0])
         )
 
+    def mass(self, cloud: ParticleCloud, dims=(0, 1)) -> np.ndarray:
+        """Particle weight per cell, shape (nx, ny).  Raises GridTooSmall
+        if more than 0.1% of the weight falls outside the grid."""
+        pos = cloud.particles[:, list(dims)]
+        mass, _, _ = np.histogram2d(
+            pos[:, 0], pos[:, 1], bins=[self.x_edges, self.y_edges], weights=cloud.weights
+        )
+        inside = mass.sum()
+        if inside < 1.0 - 1e-3:
+            raise GridTooSmall(f"grid captures only {inside:.6f} of the reference mass")
+        return mass
+
     def midpoints(self) -> tuple[np.ndarray, np.ndarray]:
         mx = 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
         my = 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
@@ -118,33 +131,26 @@ def kl_divergence_grid(
     grid: Grid2D,
     dims=(0, 1),
 ) -> float:
-    """Gridded KL divergence from a particle reference to a Gaussian.
+    """Gridded KL divergence from a particle reference to a Gaussian:
+    :func:`kl_divergence_mass` of the reference's :meth:`Grid2D.mass`."""
+    return kl_divergence_mass(grid.mass(reference, dims), approx, grid, dims)
 
-    The reference mass per cell is the sum of particle weights inside it;
-    the Gaussian mass is the marginal density (over ``dims``) at the cell
+
+def kl_divergence_mass(
+    mass: np.ndarray,
+    approx: GaussianState,
+    grid: Grid2D,
+    dims=(0, 1),
+) -> float:
+    """Gridded KL divergence from binned reference mass to a Gaussian.
+
+    ``mass`` is the reference mass per cell from :meth:`Grid2D.mass`; the
+    Gaussian mass is the marginal density (over ``dims``) at the cell
     midpoint times the cell area, floored at 1e-300.  Cells with no
     reference mass contribute zero.  Returns +inf when the approximation
     is non-finite or its marginal covariance is singular.
-
-    Raises
-    ------
-    GridTooSmall
-        If more than 0.1% of the reference mass falls outside the grid.
     """
     dims = list(dims)
-    pos = reference.particles[:, dims]
-    mass, _, _ = np.histogram2d(
-        pos[:, 0],
-        pos[:, 1],
-        bins=[grid.x_edges, grid.y_edges],
-        weights=reference.weights,
-    )
-    inside = mass.sum()
-    if inside < 1.0 - 1e-3:
-        raise GridTooSmall(
-            f"grid captures only {inside:.6f} of the reference mass"
-        )
-
     marg_mean = approx.mean[dims]
     marg_cov = approx.cov[np.ix_(dims, dims)]
     if not (np.all(np.isfinite(marg_mean)) and np.all(np.isfinite(marg_cov))):

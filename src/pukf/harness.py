@@ -27,7 +27,7 @@ import numpy as np
 from . import baselines
 from .core import GaussianState
 from .errors import ConfigError, PukfError, ReportIoError
-from .evaluation import DEFAULT_PROBS, Grid2D, error_quantiles, ellipsoid_coverage, kl_divergence_grid
+from .evaluation import DEFAULT_PROBS, Grid2D, error_quantiles, ellipsoid_coverage, kl_divergence_mass
 from .linearization import ekf2_update_numerical
 from .partitioned import PukfConfig, pukf_update
 from .scenarios import (
@@ -46,6 +46,7 @@ __all__ = [
     "MetricsReport",
     "parse_filter",
     "run_campaign",
+    "format_report",
     "emit_report",
     "read_report",
     "config_hash",
@@ -75,11 +76,7 @@ class _GaussianAdapter:
         return prior
 
     def step(self, state, state_model, measurement, rng):
-        f = state_model.transition
-        predicted = GaussianState(
-            f @ state.mean, f @ state.cov @ f.T + state_model.noise_cov
-        )
-        return self._update(predicted, measurement)
+        return self._update(state_model.predict(state), measurement)
 
     def estimate(self, state):
         return state
@@ -380,30 +377,21 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                 rec["coverage"][f"{p:g}"].append(bool(ok))
 
         if ref_cloud is not None:
-            particles = baselines.propagate_particles(
-                ref_cloud.particles, spec.state_model, ref_rng
+            weighted = baselines.weight_particles(
+                ref_cloud, spec.state_model, measurement, ref_rng
             )
-            logw = baselines.log_likelihood(measurement, particles)
-            shifted = logw - logw.max()
-            weights = np.exp(shifted)
-            total = weights.sum()
-            if not np.isfinite(total) or total <= 0.0:
-                ref_degenerate += 1
-                weighted = baselines.ParticleCloud.uniform(particles, degenerate=True)
-            else:
-                weighted = baselines.ParticleCloud(particles, weights / total)
+            ref_degenerate += weighted.degenerate
             grid = Grid2D.from_cloud(weighted, dims=(0, 1))
+            mass = grid.mass(weighted, dims=(0, 1))
             for label in adapters:
                 rec = record["filters"][label]
                 est = estimates[label]
                 if est is None:
                     rec["kl"].append(math.inf)
                 else:
-                    rec["kl"].append(
-                        float(kl_divergence_grid(weighted, est, grid, dims=(0, 1)))
-                    )
+                    rec["kl"].append(kl_divergence_mass(mass, est, grid, dims=(0, 1)))
             idx = baselines.systematic_resample(weighted.weights, ref_rng)
-            ref_cloud = baselines.ParticleCloud.uniform(particles[idx])
+            ref_cloud = baselines.ParticleCloud.uniform(weighted.particles[idx])
 
     record["ref_degenerate_steps"] = ref_degenerate
     return record
@@ -632,14 +620,18 @@ def _report_json(report: MetricsReport) -> str:
     return json.dumps(payload, indent=1)
 
 
+def format_report(report: MetricsReport, format: str = "csv") -> str:
+    """The report as csv or json text."""
+    if format == "csv":
+        return _report_csv(report)
+    if format == "json":
+        return _report_json(report)
+    raise ConfigError(f"format must be csv or json, got {format!r}")
+
+
 def emit_report(report: MetricsReport, out: str, format: str = "csv") -> str:
     """Write the report to ``out`` in csv or json form; returns the path."""
-    if format == "csv":
-        text = _report_csv(report)
-    elif format == "json":
-        text = _report_json(report)
-    else:
-        raise ConfigError(f"format must be csv or json, got {format!r}")
+    text = format_report(report, format)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

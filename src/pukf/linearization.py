@@ -24,7 +24,7 @@ import numpy as np
 from .core import (
     GaussianState,
     MeasurementModel,
-    _gain,
+    _correct,
     matrix_sqrt,
     symmetrize,
 )
@@ -159,11 +159,10 @@ def ekf2_update(
     """
     sqrt_p = matrix_sqrt(prior.cov)
     yhat = lin.h_at_mean + 0.5 * lin.xi
-    s = symmetrize(lin.M @ lin.M.T + 0.5 * lin.Xi + model.noise_cov)
-    gain = _gain(s, sqrt_p @ lin.M.T)
-    mean = prior.mean + gain @ (model.value - yhat)
-    cov = symmetrize(prior.cov - gain @ s @ gain.T)
-    return GaussianState(mean, cov)
+    s = lin.M @ lin.M.T + 0.5 * lin.Xi + model.noise_cov
+    return GaussianState(
+        *_correct(prior.mean, prior.cov, model.value - yhat, s, sqrt_p @ lin.M.T)
+    )
 
 
 def ekf2_update_numerical(

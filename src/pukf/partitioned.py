@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GaussianState, MeasurementModel, _gain, matrix_sqrt, symmetrize
-from .decorrelation import decorrelate
+from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
+from .decorrelation import decorrelate, transform_model
 from .errors import RoundLimitExceeded
 from .linearization import GAMMA_DEFAULT, linearize
 
@@ -95,11 +95,11 @@ def pukf_update(
     """
     mean = prior.mean
     cov = prior.cov
-    func = model.func
-    value = model.value
-    d = value.shape[0]
+    d = model.dim
     sqrt_noise: Optional[np.ndarray] = matrix_sqrt(model.noise_cov)
     limit = config.max_rounds if config.max_rounds is not None else d
+    # What is left of the measurement, as rows over the original model.
+    rows = np.eye(d)
 
     rounds = []
     while d > 0:
@@ -107,18 +107,18 @@ def pukf_update(
             raise RoundLimitExceeded(
                 f"partitioned update needed more than {limit} rounds"
             )
+        # Round 0 would mix by the identity, so it reads the model as is.
+        part = transform_model(model, rows) if rounds else model
         sqrt_p = matrix_sqrt(cov)
-        lin = linearize(func, mean, sqrt_p, config.gamma)
+        lin = linearize(part.func, mean, sqrt_p, config.gamma)
         dec = decorrelate(lin.Xi, sqrt_noise, config.threshold)
         k = dec.split_k
         d_head = dec.D[:k]
 
         yhat = d_head @ (lin.h_at_mean + 0.5 * lin.xi)
         b = d_head @ lin.M  # (k, n)
-        s = symmetrize(b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k))
-        gain = _gain(s, sqrt_p @ b.T)
-        mean = mean + gain @ (d_head @ value - yhat)
-        cov = symmetrize(cov - gain @ s @ gain.T)
+        s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
+        mean, cov = _correct(mean, cov, d_head @ part.value - yhat, s, sqrt_p @ b.T)
         posterior = GaussianState(mean, cov)
         rounds.append(
             PartialUpdateRound(
@@ -126,22 +126,13 @@ def pukf_update(
             )
         )
 
-        # Re-express what is left of the measurement in the transformed
-        # basis; its noise is white by construction.
-        d_tail = dec.D[k:]
-        value = d_tail @ value
-        func = _mix(d_tail, func)
+        # The remaining elements in the transformed basis; their noise is
+        # white by construction.
+        rows = dec.D[k:] @ rows
         sqrt_noise = None
         d -= k
 
     return GaussianState(mean, cov), PartialUpdateTrace(rounds=tuple(rounds))
-
-
-def _mix(rows, func):
-    def mixed(x, _rows=rows, _func=func):
-        return _rows @ np.asarray(_func(x), dtype=float)
-
-    return mixed
 
 
 def pukf_step(
@@ -151,8 +142,4 @@ def pukf_step(
     config: PukfConfig = PukfConfig(),
 ) -> tuple[GaussianState, PartialUpdateTrace]:
     """Exact linear prediction followed by a partitioned update."""
-    f = state_model.transition
-    predicted = GaussianState(
-        f @ prior.mean, f @ prior.cov @ f.T + state_model.noise_cov
-    )
-    return pukf_update(predicted, measurement, config)
+    return pukf_update(state_model.predict(prior), measurement, config)

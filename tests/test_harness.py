@@ -342,6 +342,18 @@ class TestCli:
         )
         assert code == 3
 
+    def test_json_format_to_stdout(self, capsys):
+        code = cli_main(
+            [
+                "run", "--scenario", "polynomial", "--filters", "ekf",
+                "--runs", "1", "--steps", "1", "--format", "json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["scenario"] == "polynomial"
+        assert {row["filter"] for row in payload["rows"]} == {"ekf"}
+
     def test_json_output(self, tmp_path):
         out_path = tmp_path / "r.json"
         code = cli_main(

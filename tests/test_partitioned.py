@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -13,6 +15,7 @@ from pukf import (
     matrix_sqrt,
     pukf_step,
     pukf_update,
+    transform_model,
 )
 
 from helpers import kalman_update, random_quadratic, random_spd
@@ -178,6 +181,20 @@ class TestPukfUpdate:
         _, one_by_one = pukf_update(prior, model, PukfConfig(threshold=-np.inf))
         assert one_by_one.split_sizes == (1, 1, 1, 1, 1)
 
+    def test_scalar_valued_function(self):
+        prior = GaussianState([0.5, -0.2], [[1.0, 0.3], [0.3, 0.8]])
+        scalar = MeasurementModel(
+            func=lambda x: x[0] ** 2 + x[1], value=[0.7], noise_cov=[[0.5]]
+        )
+        vector = MeasurementModel(
+            func=lambda x: np.array([x[0] ** 2 + x[1]]), value=[0.7], noise_cov=[[0.5]]
+        )
+        for threshold in (-np.inf, np.inf):
+            got, _ = pukf_update(prior, scalar, PukfConfig(threshold=threshold))
+            want, _ = pukf_update(prior, vector, PukfConfig(threshold=threshold))
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.cov, want.cov)
+
     def test_round_limit(self):
         prior = GaussianState([1.0], [[1.0]])
         with pytest.raises(RoundLimitExceeded):
@@ -197,6 +214,41 @@ class TestPukfUpdate:
             PukfConfig(gamma=0.0)
         with pytest.raises(ValueError):
             PukfConfig(max_rounds=0)
+
+
+class TestMixingInvariance:
+    """Mixing the measurement by an invertible A leaves the posterior alone.
+
+    At threshold +inf this is the one-shot second-order update; at -inf
+    every round splits off one element and re-linearizes the rest, so the
+    property also covers the bookkeeping of what is left of the
+    measurement between rounds.
+    """
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([-np.inf, np.inf]),
+    )
+    def test_posterior_invariant_under_mixing(self, n, d, seed, threshold):
+        rng = np.random.default_rng(seed)
+        func, _, _ = random_quadratic(rng, n, d, curvature=0.5)
+        prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
+        model = MeasurementModel(
+            func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
+        )
+        mix = rng.normal(size=(d, d))
+        while np.linalg.cond(mix) > 1e2:
+            mix = rng.normal(size=(d, d))
+
+        cfg = PukfConfig(threshold=threshold)
+        want, _ = pukf_update(prior, model, cfg)
+        got, _ = pukf_update(prior, transform_model(model, mix), cfg)
+        for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+            scale = 1.0 + np.abs(b).max()
+            assert np.abs(a - b).max() / scale < 1e-7
 
 
 class TestPukfStep:
