@@ -46,7 +46,6 @@ from .errors import (
     NotPositiveSemiDefinite,
     PukfError,
     ReportIoError,
-    RoundLimitExceeded,
     SingularCovariance,
     SingularInnovation,
     SingularNoiseSqrt,

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    NonFiniteEvaluation,
     NonSymmetricInput,
     NotPositiveSemiDefinite,
     SingularInnovation,
@@ -278,7 +279,10 @@ def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:
     With innovation covariance S (symmetrized here) and cross covariance
     C, the gain is K = C inv(S) and the result is (mean + K r, P - K S K')
     as plain arrays, so iterating callers validate no intermediate state.
+    Raises NonFiniteEvaluation if the residual r is not finite.
     """
+    if not np.all(np.isfinite(residual)):
+        raise NonFiniteEvaluation("measurement residual contains non-finite entries")
     s = symmetrize(s)
     gain = _gain(s, cross)
     return mean + gain @ residual, symmetrize(cov - gain @ s @ gain.T)

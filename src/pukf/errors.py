@@ -31,10 +31,6 @@ class SingularNoiseSqrt(PukfError):
     """The measurement-noise square root cannot be inverted."""
 
 
-class RoundLimitExceeded(PukfError):
-    """A partitioned update ran more rounds than its configured limit."""
-
-
 class EmptySample(PukfError):
     """A statistic was requested from an empty sample."""
 

@@ -357,7 +357,7 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                     np.all(np.isfinite(est.mean)) and np.all(np.isfinite(est.cov))
                 ):
                     raise PukfError("non-finite estimate")
-            except (PukfError, np.linalg.LinAlgError, ValueError):
+            except (PukfError, np.linalg.LinAlgError):
                 rec["diverged_at"] = t
                 rec["errors"].append(math.inf)
                 rec["means"].append(None)

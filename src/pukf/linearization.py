@@ -97,7 +97,7 @@ def linearize(
         Square root of the covariance (typically from :func:`matrix_sqrt`);
         probe offsets are gamma times its columns.
     gamma : float
-        Positive probe scale.  The default sqrt(3) matches the Gaussian
+        Positive finite probe scale.  The default sqrt(3) matches the Gaussian
         fourth moment.
 
     Raises
@@ -105,8 +105,8 @@ def linearize(
     NonFiniteEvaluation
         If any probe returns NaN or infinity.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     mean = np.asarray(mean, dtype=float)
     sqrt_cov = np.asarray(sqrt_cov, dtype=float)
     n = mean.shape[0]

@@ -9,6 +9,11 @@ first; the remaining elements are re-linearized at the partially updated
 belief, where there is less prior spread and therefore less nonlinearity
 left to commit to.  The loop repeats until the measurement is exhausted.
 
+The remainder is a row block over the original measurement.  The probe
+statistics are linear in the function values (Xi quadratic), so each round
+linearizes the original model once and mixes that summary by the rows
+instead of building a mixed model.
+
 With threshold +inf this collapses to a single full second-order update;
 with -inf it processes one transformed element per round.
 """
@@ -21,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
-from .decorrelation import decorrelate, transform_model
-from .errors import RoundLimitExceeded
+from .decorrelation import decorrelate
 from .linearization import GAMMA_DEFAULT, linearize
 
 __all__ = [
@@ -40,23 +44,21 @@ class PukfConfig:
 
     threshold is the extended-real nonlinearity cutoff (default 1.0: accept
     transformed elements whose nonlinearity is at most the noise floor).
-    gamma is the linearization probe scale.  max_rounds defaults to the
-    measurement dimension, which the round logic can never exceed since
-    every round consumes at least one element; a smaller explicit value
-    turns an overrun into RoundLimitExceeded.
+    gamma is the probe scale.  Each round linearizes the original model once
+    at the current belief and reads what is left of the measurement as a
+    row block applied to that linearization.  Every round consumes at least
+    one element, so an update of a d-element measurement ends within d
+    rounds.
     """
 
     threshold: float = 1.0
     gamma: float = GAMMA_DEFAULT
-    max_rounds: Optional[int] = None
 
     def __post_init__(self):
         if np.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise ValueError(f"gamma must be a positive finite number, got {self.gamma}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -97,28 +99,21 @@ def pukf_update(
     cov = prior.cov
     d = model.dim
     sqrt_noise: Optional[np.ndarray] = matrix_sqrt(model.noise_cov)
-    limit = config.max_rounds if config.max_rounds is not None else d
     # What is left of the measurement, as rows over the original model.
     rows = np.eye(d)
 
     rounds = []
     while d > 0:
-        if len(rounds) >= limit:
-            raise RoundLimitExceeded(
-                f"partitioned update needed more than {limit} rounds"
-            )
-        # Round 0 would mix by the identity, so it reads the model as is.
-        part = transform_model(model, rows) if rounds else model
         sqrt_p = matrix_sqrt(cov)
-        lin = linearize(part.func, mean, sqrt_p, config.gamma)
-        dec = decorrelate(lin.Xi, sqrt_noise, config.threshold)
+        lin = linearize(model.func, mean, sqrt_p, config.gamma)
+        dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, config.threshold)
         k = dec.split_k
-        d_head = dec.D[:k]
+        head = dec.D[:k] @ rows
 
-        yhat = d_head @ (lin.h_at_mean + 0.5 * lin.xi)
-        b = d_head @ lin.M  # (k, n)
+        yhat = head @ (lin.h_at_mean + 0.5 * lin.xi)
+        b = head @ lin.M  # (k, n)
         s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
-        mean, cov = _correct(mean, cov, d_head @ part.value - yhat, s, sqrt_p @ b.T)
+        mean, cov = _correct(mean, cov, head @ model.value - yhat, s, sqrt_p @ b.T)
         posterior = GaussianState(mean, cov)
         rounds.append(
             PartialUpdateRound(
@@ -132,7 +127,7 @@ def pukf_update(
         sqrt_noise = None
         d -= k
 
-    return GaussianState(mean, cov), PartialUpdateTrace(rounds=tuple(rounds))
+    return rounds[-1].posterior, PartialUpdateTrace(rounds=tuple(rounds))
 
 
 def pukf_step(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -49,6 +51,19 @@ def linear_scenario(steps=5):
         measurement_generator=generator,
         steps=steps,
     ), h_mat, noise, f_mat, w
+
+
+def replace_func(spec, func, from_step):
+    """``spec`` with its measurement function replaced from ``from_step`` on."""
+    steps_seen = itertools.count()
+
+    def generator(truth, rng):
+        model = spec.measurement_generator(truth, rng)
+        if next(steps_seen) % spec.steps < from_step:
+            return model
+        return dataclasses.replace(model, func=func)
+
+    return dataclasses.replace(spec, measurement_generator=generator)
 
 
 class TestParseFilter:
@@ -160,6 +175,31 @@ class TestRunCampaign:
             np.testing.assert_allclose(
                 records[0]["filters"]["ekf"]["means"][t], mean, atol=1e-9
             )
+
+    def test_wrong_shape_is_not_a_divergence(self):
+        spec, h_mat, *_ = linear_scenario(steps=2)
+        spec = replace_func(spec, lambda x: np.append(h_mat @ x, 0.0), from_step=0)
+        cfg = CampaignConfig(
+            scenario="polynomial", filters=("pukf@1", "ekf2n"), runs=2, steps=2
+        )
+        with pytest.raises(ValueError):
+            run_campaign(cfg, scenario_spec=spec)
+
+    def test_non_finite_measurement_is_a_divergence(self):
+        spec, *_ = linear_scenario(steps=4)
+        spec = replace_func(spec, lambda x: np.full(2, np.nan), from_step=2)
+        filters = (
+            "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
+        )
+        cfg = CampaignConfig(
+            scenario="polynomial", filters=filters, runs=2, steps=4, seed=5
+        )
+        _, records = run_campaign(cfg, scenario_spec=spec)
+        for rec in records:
+            for label, data in rec["filters"].items():
+                assert data["diverged_at"] == 2, label
+                assert np.all(np.isfinite(data["errors"][:2])), label
+                assert data["errors"][2:] == [np.inf, np.inf], label
 
     def test_deterministic_output(self):
         cfg = CampaignConfig(

@@ -103,8 +103,9 @@ class TestLinearize:
             linearize(bad, np.array([0.1]), np.eye(1))
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            linearize(lambda x: x, np.zeros(1), np.eye(1), gamma=0.0)
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                linearize(lambda x: x, np.zeros(1), np.eye(1), gamma=gamma)
 
 
 class TestEkf2Update:

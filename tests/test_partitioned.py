@@ -9,7 +9,6 @@ from pukf import (
     LinearStateModel,
     MeasurementModel,
     PukfConfig,
-    RoundLimitExceeded,
     ekf2_update_numerical,
     linearize,
     matrix_sqrt,
@@ -30,13 +29,16 @@ def reference_partitioned(prior, model, threshold, gamma):
     """Straight-line reimplementation of the round loop with plain numpy.
 
     Deliberately avoids the package's decorrelation and update helpers so a
-    bookkeeping bug in either cannot hide in both.
+    bookkeeping bug in either cannot hide in both, and mixes the model
+    itself (nested closures) rather than its linearization.  Returns the
+    posterior and each round's (lambdas, split size).
     """
     mean = prior.mean.copy()
     cov = prior.cov.copy()
     func = model.func
     value = np.asarray(model.value, dtype=float)
     noise = np.asarray(model.noise_cov, dtype=float)
+    rounds = []
     while value.size:
         d = value.size
         sqrt_cov = np.linalg.cholesky(cov)
@@ -48,6 +50,7 @@ def reference_partitioned(prior, model, threshold, gamma):
         lam = np.clip(lam, 0.0, None)
         d_mat = u.T @ np.linalg.inv(sqrt_noise)
         k_split = max(1, int(np.count_nonzero(lam <= threshold)))
+        rounds.append((lam, k_split))
 
         head = d_mat[:k_split]
         y_hat = head @ (lin.h_at_mean + 0.5 * lin.xi)
@@ -63,7 +66,14 @@ def reference_partitioned(prior, model, threshold, gamma):
         prev = func
         func = (lambda rows, g: (lambda x: rows @ g(x)))(tail, prev)
         noise = np.eye(d - k_split)
-    return GaussianState(mean, cov)
+    return GaussianState(mean, cov), rounds
+
+
+def assert_rounds_match(trace, ref):
+    """Same block sizes and per-round spectra as the reference, round by round."""
+    assert trace.split_sizes == tuple(k for _, k in ref)
+    for rnd, (lam, _) in zip(trace.rounds, ref):
+        np.testing.assert_allclose(rnd.lambdas, lam, atol=1e-8)
 
 
 class TestPukfUpdate:
@@ -127,10 +137,11 @@ class TestPukfUpdate:
         model = example_model()
         for threshold in (-np.inf, 0.1, 1.0, 10.0, np.inf):
             cfg = PukfConfig(threshold=threshold)
-            post, _ = pukf_update(prior, model, cfg)
-            want = reference_partitioned(prior, model, threshold, cfg.gamma)
+            post, trace = pukf_update(prior, model, cfg)
+            want, ref = reference_partitioned(prior, model, threshold, cfg.gamma)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-9)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-9)
+            assert_rounds_match(trace, ref)
 
     def test_random_quadratics_against_reference(self):
         rng = np.random.default_rng(2)
@@ -144,10 +155,11 @@ class TestPukfUpdate:
             )
             threshold = float(rng.uniform(0.0, 3.0))
             cfg = PukfConfig(threshold=threshold)
-            post, _ = pukf_update(prior, model, cfg)
-            want = reference_partitioned(prior, model, threshold, cfg.gamma)
+            post, trace = pukf_update(prior, model, cfg)
+            want, ref = reference_partitioned(prior, model, threshold, cfg.gamma)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-8)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-8)
+            assert_rounds_match(trace, ref)
 
     def test_covariance_never_grows(self):
         rng = np.random.default_rng(3)
@@ -195,25 +207,11 @@ class TestPukfUpdate:
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
 
-    def test_round_limit(self):
-        prior = GaussianState([1.0], [[1.0]])
-        with pytest.raises(RoundLimitExceeded):
-            pukf_update(
-                prior, example_model(), PukfConfig(threshold=-np.inf, max_rounds=1)
-            )
-        post, trace = pukf_update(
-            prior, example_model(), PukfConfig(threshold=-np.inf, max_rounds=2)
-        )
-        assert trace.n_rounds == 2
-        assert np.isfinite(post.mean).all()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PukfConfig(threshold=np.nan)
         with pytest.raises(ValueError):
             PukfConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            PukfConfig(max_rounds=0)
 
 
 class TestMixingInvariance:
@@ -303,6 +301,6 @@ class TestPukfStep:
             pred = GaussianState(
                 f_mat @ shadow.mean, f_mat @ shadow.cov @ f_mat.T + w
             )
-            shadow = reference_partitioned(pred, model, cfg.threshold, cfg.gamma)
+            shadow, _ = reference_partitioned(pred, model, cfg.threshold, cfg.gamma)
             np.testing.assert_allclose(state.mean, shadow.mean, atol=1e-8)
             np.testing.assert_allclose(state.cov, shadow.cov, atol=1e-8)
