@@ -9,7 +9,6 @@ evaluation metrics, and a seeded Monte Carlo benchmark harness.
 
 from .baselines import (
     ParticleCloud,
-    SigmaPointParams,
     bootstrap_pf_step,
     ekf2_update_analytic,
     ekf_update,
@@ -73,7 +72,6 @@ from .harness import (
 from .linearization import (
     GAMMA_DEFAULT,
     LinearizationSummary,
-    ekf2_predict,
     ekf2_update,
     ekf2_update_numerical,
     linearize,
@@ -82,7 +80,6 @@ from .partitioned import (
     PartialUpdateRound,
     PartialUpdateTrace,
     PukfConfig,
-    pukf_step,
     pukf_update,
 )
 from .scenarios import (

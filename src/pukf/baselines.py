@@ -27,7 +27,6 @@ from .core import (
 )
 __all__ = [
     "AnalyticMeasurementModel",
-    "SigmaPointParams",
     "ParticleCloud",
     "ekf_update",
     "ekf2_update_analytic",
@@ -83,22 +82,15 @@ def ekf2_update_analytic(
     )
 
 
-@dataclass(frozen=True)
-class SigmaPointParams:
-    """Scaled sigma-point parameters (alpha, kappa, beta)."""
-
-    alpha: float = 1e-3
-    kappa: float = 0.0
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+# Scaled sigma-point parameters (Wan & van der Merwe): a small spread alpha,
+# no extra kappa, and beta = 2, which is optimal for a Gaussian prior.  With
+# alpha > 0 and kappa = 0, n + lambda = alpha^2 n is always positive.
+UKF_ALPHA = 1e-3
+UKF_KAPPA = 0.0
+UKF_BETA = 2.0
 
 
-def unscented_transform(
-    func, mean: np.ndarray, cov: np.ndarray, params: SigmaPointParams = SigmaPointParams()
-):
+def unscented_transform(func, mean: np.ndarray, cov: np.ndarray):
     """Propagate a Gaussian through ``func`` with 2n+1 scaled sigma points.
 
     Returns ``(y_mean, y_cov, xy_cov)`` where ``y_cov`` does not include
@@ -106,18 +98,14 @@ def unscented_transform(
     """
     mean = np.asarray(mean, dtype=float)
     n = mean.shape[0]
-    lam = params.alpha**2 * (n + params.kappa) - n
-    if n + lam <= 0.0:
-        raise ValueError(
-            f"sigma-point scaling n + lambda = {n + lam} must be positive"
-        )
+    lam = UKF_ALPHA**2 * (n + UKF_KAPPA) - n
     spread = matrix_sqrt((n + lam) * np.asarray(cov, dtype=float))
     points = np.vstack([mean, mean + spread.T, mean - spread.T])  # (2n+1, n)
 
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
-    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
+    wc[0] = wm[0] + (1.0 - UKF_ALPHA**2 + UKF_BETA)
 
     ys = np.array([np.atleast_1d(func(p)) for p in points], dtype=float)
     y_mean = wm @ ys
@@ -128,15 +116,9 @@ def unscented_transform(
     return y_mean, y_cov, xy_cov
 
 
-def ukf_update(
-    prior: GaussianState,
-    model: MeasurementModel,
-    params: SigmaPointParams = SigmaPointParams(),
-) -> GaussianState:
+def ukf_update(prior: GaussianState, model: MeasurementModel) -> GaussianState:
     """Unscented measurement update."""
-    y_mean, y_cov, xy_cov = unscented_transform(
-        model.func, prior.mean, prior.cov, params
-    )
+    y_mean, y_cov, xy_cov = unscented_transform(model.func, prior.mean, prior.cov)
     s = y_cov + model.noise_cov
     return GaussianState(
         *_correct(prior.mean, prior.cov, model.value - y_mean, s, xy_cov)
@@ -194,7 +176,7 @@ class ParticleCloud:
 
     Weights are validated non-negative and normalized to sum to one within
     1e-12.  ``degenerate`` marks a cloud whose weights had to be reset to
-    uniform because every likelihood underflowed.
+    uniform because no particle had a finite log-weight.
     """
 
     particles: np.ndarray
@@ -299,11 +281,11 @@ def weight_particles(
 ) -> ParticleCloud:
     """Propagate a cloud and weight it by the measurement likelihood.
 
-    Log-weights are shifted by their maximum before exponentiation.  If
-    every weight still underflows to zero (or is non-finite), the weights
-    are reset to uniform and the returned cloud is flagged ``degenerate``
-    instead of raising, so a long campaign records the divergence and
-    moves on.
+    Log-weights are shifted by their maximum before exponentiation, so the
+    largest weight is exactly 1 and the total lies in [1, N].  If no
+    particle has a finite log-weight, the weights are reset to uniform and
+    the returned cloud is flagged ``degenerate`` instead of raising, so the
+    caller decides whether that step is a divergence.
     """
     particles = propagate_particles(cloud.particles, state_model, rng)
     logw = log_likelihood(model, particles)
@@ -314,10 +296,7 @@ def weight_particles(
         return ParticleCloud.uniform(particles, degenerate=True)
     shifted = logw - logw[finite].max()
     weights = np.where(finite, np.exp(shifted), 0.0)
-    total = weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return ParticleCloud.uniform(particles, degenerate=True)
-    return ParticleCloud(particles, weights / total)
+    return ParticleCloud(particles, weights / weights.sum())
 
 
 def bootstrap_pf_step(

@@ -247,13 +247,12 @@ def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve S X = B for symmetric positive-definite S.
+    """Solve S X = B for a symmetric positive-definite float array S.
 
     Used for innovation solves; raises SingularInnovation when the
     condition estimate exceeds 1e12 or the factorization fails, so filters
     never form an explicit inverse of a near-singular innovation.
     """
-    s = symmetrize(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(s)):
         raise SingularInnovation("innovation covariance contains non-finite entries")
     cond = np.linalg.cond(s)
@@ -268,11 +267,6 @@ def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((c, low), b)
 
 
-def _gain(s: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Kalman gain  cross @ inv(S)  via an SPD solve."""
-    return _solve_spd(s, cross.T).T
-
-
 def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:
     """Kalman correction shared by every Gaussian update in the package.
 
@@ -284,5 +278,5 @@ def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(residual)):
         raise NonFiniteEvaluation("measurement residual contains non-finite entries")
     s = symmetrize(s)
-    gain = _gain(s, cross)
+    gain = _solve_spd(s, cross.T).T
     return mean + gain @ residual, symmetrize(cov - gain @ s @ gain.T)

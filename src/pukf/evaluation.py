@@ -35,6 +35,13 @@ KL_NOISE_FLOOR = -0.05
 
 _DENSITY_FLOOR = 1e-300
 
+# The KL grid covers the position plane (state dimensions 0 and 1) with
+# GRID_CELLS x GRID_CELLS cells, padded by GRID_PAD_SIGMAS weighted standard
+# deviations beyond the particle extent.
+_PLANE = [0, 1]
+GRID_CELLS = 50
+GRID_PAD_SIGMAS = 3.0
+
 
 def error_quantiles(errors, probs=DEFAULT_PROBS) -> np.ndarray:
     """Quantiles of an error sample with linear interpolation.
@@ -72,24 +79,18 @@ def ellipsoid_coverage(
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Rectangular histogram grid over two chosen state dimensions."""
+    """Rectangular histogram grid over the position plane."""
 
     x_edges: np.ndarray
     y_edges: np.ndarray
 
     @classmethod
-    def from_cloud(
-        cls,
-        cloud: ParticleCloud,
-        dims=(0, 1),
-        resolution: int = 50,
-        pad_sigmas: float = 3.0,
-    ) -> "Grid2D":
-        """Bounds from particle min/max padded by ``pad_sigmas`` weighted stds."""
-        pos = cloud.particles[:, list(dims)]
+    def from_cloud(cls, cloud: ParticleCloud) -> "Grid2D":
+        """Bounds from particle min/max padded by GRID_PAD_SIGMAS weighted stds."""
+        pos = cloud.particles[:, _PLANE]
         mean = cloud.weights @ pos
         var = cloud.weights @ (pos - mean) ** 2
-        pad = pad_sigmas * np.sqrt(np.maximum(var, 0.0))
+        pad = GRID_PAD_SIGMAS * np.sqrt(np.maximum(var, 0.0))
         lo = pos.min(axis=0) - pad
         hi = pos.max(axis=0) + pad
         span = hi - lo
@@ -97,8 +98,8 @@ class Grid2D:
         lo = np.where(span > 0.0, lo, lo - 1e-6)
         hi = np.where(span > 0.0, hi, hi + 1e-6)
         return cls(
-            x_edges=np.linspace(lo[0], hi[0], resolution + 1),
-            y_edges=np.linspace(lo[1], hi[1], resolution + 1),
+            x_edges=np.linspace(lo[0], hi[0], GRID_CELLS + 1),
+            y_edges=np.linspace(lo[1], hi[1], GRID_CELLS + 1),
         )
 
     @property
@@ -107,10 +108,10 @@ class Grid2D:
             (self.x_edges[1] - self.x_edges[0]) * (self.y_edges[1] - self.y_edges[0])
         )
 
-    def mass(self, cloud: ParticleCloud, dims=(0, 1)) -> np.ndarray:
+    def mass(self, cloud: ParticleCloud) -> np.ndarray:
         """Particle weight per cell, shape (nx, ny).  Raises GridTooSmall
         if more than 0.1% of the weight falls outside the grid."""
-        pos = cloud.particles[:, list(dims)]
+        pos = cloud.particles[:, _PLANE]
         mass, _, _ = np.histogram2d(
             pos[:, 0], pos[:, 1], bins=[self.x_edges, self.y_edges], weights=cloud.weights
         )
@@ -126,33 +127,24 @@ class Grid2D:
 
 
 def kl_divergence_grid(
-    reference: ParticleCloud,
-    approx: GaussianState,
-    grid: Grid2D,
-    dims=(0, 1),
+    reference: ParticleCloud, approx: GaussianState, grid: Grid2D
 ) -> float:
     """Gridded KL divergence from a particle reference to a Gaussian:
     :func:`kl_divergence_mass` of the reference's :meth:`Grid2D.mass`."""
-    return kl_divergence_mass(grid.mass(reference, dims), approx, grid, dims)
+    return kl_divergence_mass(grid.mass(reference), approx, grid)
 
 
-def kl_divergence_mass(
-    mass: np.ndarray,
-    approx: GaussianState,
-    grid: Grid2D,
-    dims=(0, 1),
-) -> float:
+def kl_divergence_mass(mass: np.ndarray, approx: GaussianState, grid: Grid2D) -> float:
     """Gridded KL divergence from binned reference mass to a Gaussian.
 
     ``mass`` is the reference mass per cell from :meth:`Grid2D.mass`; the
-    Gaussian mass is the marginal density (over ``dims``) at the cell
-    midpoint times the cell area, floored at 1e-300.  Cells with no
+    Gaussian mass is the marginal density (over the position plane) at the
+    cell midpoint times the cell area, floored at 1e-300.  Cells with no
     reference mass contribute zero.  Returns +inf when the approximation
     is non-finite or its marginal covariance is singular.
     """
-    dims = list(dims)
-    marg_mean = approx.mean[dims]
-    marg_cov = approx.cov[np.ix_(dims, dims)]
+    marg_mean = approx.mean[_PLANE]
+    marg_cov = approx.cov[np.ix_(_PLANE, _PLANE)]
     if not (np.all(np.isfinite(marg_mean)) and np.all(np.isfinite(marg_cov))):
         return float("inf")
     mx, my = grid.midpoints()

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines
 from .core import GaussianState
-from .errors import ConfigError, PukfError, ReportIoError
+from .errors import ConfigError, NonFiniteEvaluation, PukfError, ReportIoError
 from .evaluation import DEFAULT_PROBS, Grid2D, error_quantiles, ellipsoid_coverage, kl_divergence_mass
 from .linearization import ekf2_update_numerical
 from .partitioned import PukfConfig, pukf_update
@@ -67,8 +67,6 @@ SCENARIOS = {
 class _GaussianAdapter:
     """Kalman-style filter: exact linear prediction, then one update call."""
 
-    stochastic = False
-
     def __init__(self, update):
         self._update = update
 
@@ -83,8 +81,6 @@ class _GaussianAdapter:
 
 
 class _ParticleAdapter:
-    stochastic = True
-
     def __init__(self, particles):
         self.particles = int(particles)
         if self.particles < 2:
@@ -95,7 +91,10 @@ class _ParticleAdapter:
         return baselines.ParticleCloud.uniform(pts)
 
     def step(self, state, state_model, measurement, rng):
-        return baselines.bootstrap_pf_step(state, state_model, measurement, rng)
+        cloud = baselines.bootstrap_pf_step(state, state_model, measurement, rng)
+        if cloud.degenerate:
+            raise NonFiniteEvaluation("no particle has a finite likelihood")
+        return cloud
 
     def estimate(self, state):
         return GaussianState(state.mean(), state.cov())
@@ -340,39 +339,31 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
         estimates = {}
         for label, adapter in adapters.items():
             rec = record["filters"][label]
-            if rec["diverged_at"] is not None:
-                rec["errors"].append(math.inf)
-                rec["means"].append(None)
-                for p in DEFAULT_PROBS:
-                    rec["coverage"][f"{p:g}"].append(False)
-                estimates[label] = None
-                continue
-            t0 = time.perf_counter()
-            try:
-                states[label] = adapter.step(
-                    states[label], spec.state_model, measurement, filter_rngs[label]
-                )
-                est = adapter.estimate(states[label])
-                if not (
-                    np.all(np.isfinite(est.mean)) and np.all(np.isfinite(est.cov))
-                ):
-                    raise PukfError("non-finite estimate")
-            except (PukfError, np.linalg.LinAlgError):
-                rec["diverged_at"] = t
-                rec["errors"].append(math.inf)
-                rec["means"].append(None)
-                for p in DEFAULT_PROBS:
-                    rec["coverage"][f"{p:g}"].append(False)
-                estimates[label] = None
-                continue
-            rec["update_seconds"].append(time.perf_counter() - t0)
+            est = None
+            if rec["diverged_at"] is None:
+                t0 = time.perf_counter()
+                try:
+                    states[label] = adapter.step(
+                        states[label], spec.state_model, measurement,
+                        filter_rngs[label],
+                    )
+                    est = adapter.estimate(states[label])
+                except (PukfError, np.linalg.LinAlgError):
+                    rec["diverged_at"] = t
+                else:
+                    rec["update_seconds"].append(time.perf_counter() - t0)
             estimates[label] = est
-            rec["errors"].append(float(np.linalg.norm(est.mean - truth)))
-            rec["means"].append([float(v) for v in est.mean])
-            try:
-                inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
-            except PukfError:
-                inside = np.zeros(len(DEFAULT_PROBS), dtype=bool)
+            if est is None:
+                rec["errors"].append(math.inf)
+                rec["means"].append(None)
+                inside = [False] * len(DEFAULT_PROBS)
+            else:
+                rec["errors"].append(float(np.linalg.norm(est.mean - truth)))
+                rec["means"].append([float(v) for v in est.mean])
+                try:
+                    inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
+                except PukfError:
+                    inside = [False] * len(DEFAULT_PROBS)
             for p, ok in zip(DEFAULT_PROBS, inside):
                 rec["coverage"][f"{p:g}"].append(bool(ok))
 
@@ -381,15 +372,15 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                 ref_cloud, spec.state_model, measurement, ref_rng
             )
             ref_degenerate += weighted.degenerate
-            grid = Grid2D.from_cloud(weighted, dims=(0, 1))
-            mass = grid.mass(weighted, dims=(0, 1))
+            grid = Grid2D.from_cloud(weighted)
+            mass = grid.mass(weighted)
             for label in adapters:
                 rec = record["filters"][label]
                 est = estimates[label]
                 if est is None:
                     rec["kl"].append(math.inf)
                 else:
-                    rec["kl"].append(kl_divergence_mass(mass, est, grid, dims=(0, 1)))
+                    rec["kl"].append(kl_divergence_mass(mass, est, grid))
             idx = baselines.systematic_resample(weighted.weights, ref_rng)
             ref_cloud = baselines.ParticleCloud.uniform(weighted.particles[idx])
 

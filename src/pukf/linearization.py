@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GaussianState,
-    MeasurementModel,
-    _correct,
-    matrix_sqrt,
-    symmetrize,
-)
+from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
 from .errors import NonFiniteEvaluation
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "linearize",
     "ekf2_update",
     "ekf2_update_numerical",
-    "ekf2_predict",
 ]
 
 # Probe scale that matches the fourth moment of a Gaussian, so the diagonal
@@ -62,6 +55,8 @@ class LinearizationSummary:
         Symmetric PSD by construction.
     h_at_mean : ndarray, shape (d,)
         The map evaluated at the linearization mean.
+    sqrt_cov : ndarray, shape (n, n)
+        The covariance square root the probes were scaled by.
     """
 
     M: np.ndarray
@@ -69,6 +64,7 @@ class LinearizationSummary:
     xi: np.ndarray
     Xi: np.ndarray
     h_at_mean: np.ndarray
+    sqrt_cov: np.ndarray
 
 
 def _eval(func, x, d=None):
@@ -138,7 +134,9 @@ def linearize(
     xi = np.trace(Q, axis1=1, axis2=2)
     Xi = np.einsum("kij,lij->kl", Q, Q)
     Xi = np.triu(Xi) + np.triu(Xi, 1).T  # exactly symmetric
-    return LinearizationSummary(M=M, Q=Q, xi=xi, Xi=Xi, h_at_mean=h0)
+    return LinearizationSummary(
+        M=M, Q=Q, xi=xi, Xi=Xi, h_at_mean=h0, sqrt_cov=sqrt_cov
+    )
 
 
 def ekf2_update(
@@ -146,8 +144,8 @@ def ekf2_update(
 ) -> GaussianState:
     """Second-order measurement update from probe statistics.
 
-    ``lin`` must have been computed at the prior mean with the square root
-    of the prior covariance.  The update is
+    ``lin`` must have been computed at the prior mean.  With its square
+    root sqrtP the update is
 
         yhat = h(mu) + xi/2
         S    = M M' + Xi/2 + R
@@ -157,37 +155,16 @@ def ekf2_update(
 
     Raises SingularInnovation if S cannot be solved.
     """
-    sqrt_p = matrix_sqrt(prior.cov)
     yhat = lin.h_at_mean + 0.5 * lin.xi
     s = lin.M @ lin.M.T + 0.5 * lin.Xi + model.noise_cov
     return GaussianState(
-        *_correct(prior.mean, prior.cov, model.value - yhat, s, sqrt_p @ lin.M.T)
+        *_correct(prior.mean, prior.cov, model.value - yhat, s, lin.sqrt_cov @ lin.M.T)
     )
 
 
 def ekf2_update_numerical(
-    prior: GaussianState, model: MeasurementModel, gamma: float = GAMMA_DEFAULT
+    prior: GaussianState, model: MeasurementModel
 ) -> GaussianState:
     """Convenience wrapper: linearize at the prior, then update."""
-    lin = linearize(model.func, prior.mean, matrix_sqrt(prior.cov), gamma)
+    lin = linearize(model.func, prior.mean, matrix_sqrt(prior.cov))
     return ekf2_update(prior, model, lin)
-
-
-def ekf2_predict(
-    prior: GaussianState,
-    func,
-    noise_cov: np.ndarray,
-    gamma: float = GAMMA_DEFAULT,
-) -> GaussianState:
-    """Second-order prediction through a nonlinear transition.
-
-    Propagates N(mu, P) through ``func`` with additive noise W:
-
-        mu- = f(mu) + xi/2
-        P-  = M M' + Xi/2 + W
-    """
-    noise_cov = symmetrize(np.asarray(noise_cov, dtype=float))
-    lin = linearize(func, prior.mean, matrix_sqrt(prior.cov), gamma)
-    mean = lin.h_at_mean + 0.5 * lin.xi
-    cov = symmetrize(lin.M @ lin.M.T + 0.5 * lin.Xi + noise_cov)
-    return GaussianState(mean, cov)

@@ -27,38 +27,31 @@ import numpy as np
 
 from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
 from .decorrelation import decorrelate
-from .linearization import GAMMA_DEFAULT, linearize
+from .linearization import linearize
 
 __all__ = [
     "PukfConfig",
     "PartialUpdateRound",
     "PartialUpdateTrace",
     "pukf_update",
-    "pukf_step",
 ]
 
 
 @dataclass(frozen=True)
 class PukfConfig:
-    """Tuning knobs for a partitioned update.
+    """The partitioned update's one tuning choice.
 
     threshold is the extended-real nonlinearity cutoff (default 1.0: accept
     transformed elements whose nonlinearity is at most the noise floor).
-    gamma is the probe scale.  Each round linearizes the original model once
-    at the current belief and reads what is left of the measurement as a
-    row block applied to that linearization.  Every round consumes at least
-    one element, so an update of a d-element measurement ends within d
-    rounds.
+    -inf takes one transformed element per round; +inf takes the whole
+    measurement in one second-order update.
     """
 
     threshold: float = 1.0
-    gamma: float = GAMMA_DEFAULT
 
     def __post_init__(self):
         if np.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")
-        if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be a positive finite number, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ def pukf_update(
     rounds = []
     while d > 0:
         sqrt_p = matrix_sqrt(cov)
-        lin = linearize(model.func, mean, sqrt_p, config.gamma)
+        lin = linearize(model.func, mean, sqrt_p)
         dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, config.threshold)
         k = dec.split_k
         head = dec.D[:k] @ rows
@@ -129,12 +122,3 @@ def pukf_update(
 
     return rounds[-1].posterior, PartialUpdateTrace(rounds=tuple(rounds))
 
-
-def pukf_step(
-    prior: GaussianState,
-    state_model,
-    measurement: MeasurementModel,
-    config: PukfConfig = PukfConfig(),
-) -> tuple[GaussianState, PartialUpdateTrace]:
-    """Exact linear prediction followed by a partitioned update."""
-    return pukf_update(state_model.predict(prior), measurement, config)

@@ -10,7 +10,7 @@ filters are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,7 +54,6 @@ class ScenarioSpec:
     state_model: LinearStateModel
     measurement_generator: Callable[[np.ndarray, np.random.Generator], MeasurementModel]
     steps: int = 10
-    runs: int = 1000
 
     @property
     def dim(self) -> int:
@@ -144,7 +143,7 @@ def _poly_generator(truth, rng):
     )
 
 
-def scenario_polynomial(steps: int = 10, runs: int = 1000) -> ScenarioSpec:
+def scenario_polynomial(steps: int = 10) -> ScenarioSpec:
     """Quadratic 6-component measurement of a 3-d random-walk state.
 
     The measurement rows all mix linear and quadratic terms, but three
@@ -158,7 +157,6 @@ def scenario_polynomial(steps: int = 10, runs: int = 1000) -> ScenarioSpec:
         state_model=LinearStateModel(np.eye(n), 16.0 * np.eye(n)),
         measurement_generator=_poly_generator,
         steps=steps,
-        runs=runs,
     )
 
 
@@ -228,7 +226,6 @@ def _bearings_scenario(
     process_noise: np.ndarray,
     noise_std_deg: float,
     steps: int,
-    runs: int,
 ) -> ScenarioSpec:
     sensors = np.asarray(sensors, dtype=float)
     sigma = math.radians(noise_std_deg)
@@ -247,7 +244,6 @@ def _bearings_scenario(
         state_model=LinearStateModel(transition, process_noise),
         measurement_generator=generator,
         steps=steps,
-        runs=runs,
     )
 
 
@@ -259,7 +255,6 @@ def scenario_bearings_far_near(
     sensors=((2.0, 2.0), (30.0, 0.0)),
     noise_std_deg: float = 2.0,
     steps: int = 10,
-    runs: int = 1000,
 ) -> ScenarioSpec:
     """Two bearing sensors: one near the prior, one far away.
 
@@ -277,7 +272,6 @@ def scenario_bearings_far_near(
         _block_noise(1.0 / 300.0, 1.0 / 200.0, 1.0 / 100.0),
         noise_std_deg,
         steps,
-        runs,
     )
 
 
@@ -285,7 +279,6 @@ def scenario_bearings_near_near(
     sensors=((2.0, 2.0), (-2.0, 2.0)),
     noise_std_deg: float = 2.0,
     steps: int = 10,
-    runs: int = 1000,
 ) -> ScenarioSpec:
     """Two near bearing sensors and much larger process noise.
 
@@ -300,5 +293,4 @@ def scenario_bearings_near_near(
         _block_noise(1.0 / 3.0, 1.0 / 2.0, 1.0),
         noise_std_deg,
         steps,
-        runs,
     )

@@ -9,7 +9,6 @@ from pukf import (
     LinearStateModel,
     MeasurementModel,
     ParticleCloud,
-    SigmaPointParams,
     bootstrap_pf_step,
     ekf2_update_analytic,
     ekf2_update_numerical,
@@ -134,10 +133,6 @@ class TestUnscentedTransform:
             lambda x: np.array([x[0] ** 2]), np.array([2.0]), np.array([[3.0]])
         )
         np.testing.assert_allclose(y_mean, [7.0], atol=1e-5)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            SigmaPointParams(alpha=0.0)
 
 
 class TestUkfUpdate:

@@ -96,14 +96,6 @@ class TestGrid2D:
         assert grid.x_edges[0] < 1.0 < grid.x_edges[-1]
         assert grid.cell_area > 0.0
 
-    def test_dims_selection(self):
-        particles = np.column_stack(
-            [np.zeros(100), np.linspace(-5, 5, 100), np.linspace(10, 20, 100)]
-        )
-        grid = Grid2D.from_cloud(ParticleCloud.uniform(particles), dims=(1, 2))
-        assert grid.x_edges[0] < -5 and grid.x_edges[-1] > 5
-        assert grid.y_edges[0] < 10 and grid.y_edges[-1] > 20
-
 
 class TestKlDivergenceGrid:
     def test_matched_gaussian_is_near_zero(self):
@@ -183,6 +175,6 @@ class TestKlDivergenceGrid:
         cloud = ParticleCloud.uniform(
             rng.multivariate_normal(np.zeros(4), cov4, size=100_000)
         )
-        grid = Grid2D.from_cloud(cloud, dims=(0, 1))
-        kl = kl_divergence_grid(cloud, GaussianState(np.zeros(4), cov4), grid, dims=(0, 1))
+        grid = Grid2D.from_cloud(cloud)
+        kl = kl_divergence_grid(cloud, GaussianState(np.zeros(4), cov4), grid)
         assert 0.0 <= kl < 0.05

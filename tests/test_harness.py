@@ -54,14 +54,17 @@ def linear_scenario(steps=5):
 
 
 def replace_func(spec, func, from_step):
-    """``spec`` with its measurement function replaced from ``from_step`` on."""
+    """``spec`` with its measurement function replaced from ``from_step`` on.
+
+    The replaced model has no ``batch``, so the particle filter evaluates
+    ``func`` too."""
     steps_seen = itertools.count()
 
     def generator(truth, rng):
         model = spec.measurement_generator(truth, rng)
         if next(steps_seen) % spec.steps < from_step:
             return model
-        return dataclasses.replace(model, func=func)
+        return dataclasses.replace(model, func=func, batch=None)
 
     return dataclasses.replace(spec, measurement_generator=generator)
 
@@ -190,6 +193,7 @@ class TestRunCampaign:
         spec = replace_func(spec, lambda x: np.full(2, np.nan), from_step=2)
         filters = (
             "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
+            "pf@200",
         )
         cfg = CampaignConfig(
             scenario="polynomial", filters=filters, runs=2, steps=4, seed=5

@@ -5,7 +5,6 @@ from pukf import (
     GaussianState,
     MeasurementModel,
     NonFiniteEvaluation,
-    ekf2_predict,
     ekf2_update,
     ekf2_update_numerical,
     linearize,
@@ -189,22 +188,3 @@ class TestEkf2Update:
             np.testing.assert_allclose(post_a.mean, post_b.mean, rtol=1e-7, atol=1e-9)
             np.testing.assert_allclose(post_a.cov, post_b.cov, rtol=1e-7, atol=1e-9)
 
-
-class TestEkf2Predict:
-    def test_linear_transition_exact(self):
-        rng = np.random.default_rng(2)
-        f_mat = rng.normal(size=(3, 3))
-        prior = GaussianState(rng.normal(size=3), random_spd(rng, 3))
-        w_cov = np.zeros((3, 3))
-        pred = ekf2_predict(prior, lambda x: f_mat @ x, w_cov)
-        np.testing.assert_allclose(pred.mean, f_mat @ prior.mean, atol=1e-12)
-        np.testing.assert_allclose(
-            pred.cov, f_mat @ prior.cov @ f_mat.T, atol=1e-10
-        )
-
-    def test_square_transition_matches_chi_square_moments(self):
-        # x ~ N(0,1) pushed through x^2 is chi^2_1: mean 1, variance 2.
-        prior = GaussianState([0.0], [[1.0]])
-        pred = ekf2_predict(prior, lambda x: np.array([x[0] ** 2]), [[0.0]])
-        np.testing.assert_allclose(pred.mean, [1.0], atol=1e-12)
-        np.testing.assert_allclose(pred.cov, [[2.0]], atol=1e-12)

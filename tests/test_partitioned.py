@@ -12,7 +12,6 @@ from pukf import (
     ekf2_update_numerical,
     linearize,
     matrix_sqrt,
-    pukf_step,
     pukf_update,
     transform_model,
 )
@@ -25,7 +24,7 @@ def example_model(value=(1.0, -1.0)):
     return MeasurementModel(func=func, value=value, noise_cov=np.eye(2))
 
 
-def reference_partitioned(prior, model, threshold, gamma):
+def reference_partitioned(prior, model, threshold):
     """Straight-line reimplementation of the round loop with plain numpy.
 
     Deliberately avoids the package's decorrelation and update helpers so a
@@ -42,7 +41,7 @@ def reference_partitioned(prior, model, threshold, gamma):
     while value.size:
         d = value.size
         sqrt_cov = np.linalg.cholesky(cov)
-        lin = linearize(func, mean, sqrt_cov, gamma)
+        lin = linearize(func, mean, sqrt_cov)
         sqrt_noise = np.linalg.cholesky(noise)
         white = scipy.linalg.solve_triangular(sqrt_noise, lin.Xi, lower=True)
         white = scipy.linalg.solve_triangular(sqrt_noise, white.T, lower=True).T
@@ -138,7 +137,7 @@ class TestPukfUpdate:
         for threshold in (-np.inf, 0.1, 1.0, 10.0, np.inf):
             cfg = PukfConfig(threshold=threshold)
             post, trace = pukf_update(prior, model, cfg)
-            want, ref = reference_partitioned(prior, model, threshold, cfg.gamma)
+            want, ref = reference_partitioned(prior, model, threshold)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-9)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-9)
             assert_rounds_match(trace, ref)
@@ -156,7 +155,7 @@ class TestPukfUpdate:
             threshold = float(rng.uniform(0.0, 3.0))
             cfg = PukfConfig(threshold=threshold)
             post, trace = pukf_update(prior, model, cfg)
-            want, ref = reference_partitioned(prior, model, threshold, cfg.gamma)
+            want, ref = reference_partitioned(prior, model, threshold)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-8)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-8)
             assert_rounds_match(trace, ref)
@@ -210,8 +209,6 @@ class TestPukfUpdate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PukfConfig(threshold=np.nan)
-        with pytest.raises(ValueError):
-            PukfConfig(gamma=0.0)
 
 
 class TestMixingInvariance:
@@ -250,6 +247,8 @@ class TestMixingInvariance:
 
 
 class TestPukfStep:
+    """Predict/update cycles: ``LinearStateModel.predict``, then ``pukf_update``."""
+
     def test_linear_step_matches_kalman(self):
         rng = np.random.default_rng(5)
         n, d = 3, 2
@@ -264,7 +263,9 @@ class TestPukfStep:
         measurement = MeasurementModel(
             func=lambda x: h_mat @ x, value=value, noise_cov=r
         )
-        post, _ = pukf_step(prior, state_model, measurement, PukfConfig(threshold=1.0))
+        post, _ = pukf_update(
+            state_model.predict(prior), measurement, PukfConfig(threshold=1.0)
+        )
 
         pred_mean = f_mat @ prior.mean
         pred_cov = f_mat @ prior.cov @ f_mat.T + w
@@ -276,7 +277,7 @@ class TestPukfStep:
         prior = GaussianState([1.0], [[1.0]])
         state_model = LinearStateModel(transition=np.eye(1), noise_cov=np.zeros((1, 1)))
         cfg = PukfConfig(threshold=1.0)
-        stepped, _ = pukf_step(prior, state_model, example_model(), cfg)
+        stepped, _ = pukf_update(state_model.predict(prior), example_model(), cfg)
         updated, _ = pukf_update(prior, example_model(), cfg)
         np.testing.assert_allclose(stepped.mean, updated.mean, atol=1e-12)
         np.testing.assert_allclose(stepped.cov, updated.cov, atol=1e-12)
@@ -296,11 +297,11 @@ class TestPukfStep:
         for _ in range(10):
             value = rng.normal(size=d)
             model = MeasurementModel(func=func, value=value, noise_cov=np.eye(d))
-            state, _ = pukf_step(state, state_model, model, cfg)
+            state, _ = pukf_update(state_model.predict(state), model, cfg)
 
             pred = GaussianState(
                 f_mat @ shadow.mean, f_mat @ shadow.cov @ f_mat.T + w
             )
-            shadow, _ = reference_partitioned(pred, model, cfg.threshold, cfg.gamma)
+            shadow, _ = reference_partitioned(pred, model, cfg.threshold)
             np.testing.assert_allclose(state.mean, shadow.mean, atol=1e-8)
             np.testing.assert_allclose(state.cov, shadow.cov, atol=1e-8)
