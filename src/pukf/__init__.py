@@ -15,6 +15,7 @@ from .baselines import (
     iekf_update,
     log_likelihood,
     propagate_particles,
+    resample,
     ruf_update,
     sample_gaussian,
     systematic_resample,

@@ -5,8 +5,8 @@ style updates all finish in the shared correction ``core._correct``; the
 differences are only in how the predicted measurement moments are obtained
 (first-order Jacobian, second-order traces, sigma points, iteration, or
 repeated reduced-weight updates).  The particle filter's step is
-``weight_particles`` followed by ``systematic_resample``; the harness's
-particle reference reuses the weighting step.
+``weight_particles`` followed by ``resample``; the harness's particle
+reference takes the same two steps.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "iekf_update",
     "ruf_update",
     "systematic_resample",
+    "resample",
     "propagate_particles",
     "log_likelihood",
     "weight_particles",
@@ -240,6 +241,11 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cumulative, positions)
 
 
+def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:
+    """The equal-weight cloud picked from ``cloud`` by :func:`systematic_resample`."""
+    return ParticleCloud.uniform(cloud.particles[systematic_resample(cloud.weights, rng)])
+
+
 def propagate_particles(
     particles: np.ndarray, state_model: LinearStateModel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -306,10 +312,9 @@ def bootstrap_pf_step(
     rng,
 ) -> ParticleCloud:
     """One bootstrap particle-filter step: :func:`weight_particles`, then
-    systematic resampling unless the weighting came back degenerate."""
+    :func:`resample` unless the weighting came back degenerate."""
     rng = np.random.default_rng(rng)
     weighted = weight_particles(cloud, state_model, model, rng)
     if weighted.degenerate:
         return weighted
-    idx = systematic_resample(weighted.weights, rng)
-    return ParticleCloud.uniform(weighted.particles[idx])
+    return resample(weighted, rng)

@@ -47,12 +47,23 @@ def error_quantiles(errors, probs=DEFAULT_PROBS) -> np.ndarray:
     """Quantiles of an error sample with linear interpolation.
 
     Raises EmptySample for an empty input.  Output is non-decreasing in
-    the requested probabilities.
+    the requested probabilities.  Infinite errors (diverged runs) are
+    allowed: a quantile that interpolates towards ``inf`` is ``inf``, and
+    one that lands exactly on a sample is that sample.
     """
     arr = np.asarray(errors, dtype=float)
     if arr.size == 0:
         raise EmptySample("cannot take quantiles of an empty error sample")
-    return np.quantile(arr, probs)
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(arr, probs)
+    # Interpolating next to an inf computes inf - inf or inf * 0, which is nan.
+    gap = np.isnan(q)
+    if np.any(gap):
+        at = np.asarray(probs, dtype=float)[gap]
+        lo = np.quantile(arr, at, method="lower")
+        hi = np.quantile(arr, at, method="higher")
+        q[gap] = np.where(lo < hi, np.inf, lo)
+    return q
 
 
 def ellipsoid_coverage(

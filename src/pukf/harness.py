@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -60,8 +61,11 @@ SCENARIOS = {
 
 
 # ---------------------------------------------------------------------------
-# Filter registry.  Each entry knows how to build a per-run adapter from the
-# single scalar parameter allowed in a "name@param" spec string.
+# Filter registry.  Each entry builds a per-run adapter from the parsed
+# parameter of a "name@param" spec string (None for filters without one).
+# Builders look the update function up when a run builds the filter, so a
+# module attribute swapped after import (the benchmark's tracer does this)
+# is the one that runs.
 
 
 class _GaussianAdapter:
@@ -100,21 +104,6 @@ class _ParticleAdapter:
         return GaussianState(state.mean(), state.cov())
 
 
-def _build_pukf(threshold):
-    cfg = PukfConfig(threshold=float(threshold))
-    return _GaussianAdapter(lambda s, m: pukf_update(s, m, cfg)[0])
-
-
-def _build_ruf(steps):
-    n = int(steps)
-    return _GaussianAdapter(lambda s, m: baselines.ruf_update(s, m, n))
-
-
-def _build_iekf(iterations):
-    n = int(iterations)
-    return _GaussianAdapter(lambda s, m: baselines.iekf_update(s, m, n))
-
-
 @dataclass(frozen=True)
 class _FilterEntry:
     build: callable
@@ -125,31 +114,36 @@ class _FilterEntry:
 
 FILTERS = {
     "pukf": _FilterEntry(
-        _build_pukf, 1.0, "threshold",
+        lambda t: _GaussianAdapter(
+            lambda s, m, cfg=PukfConfig(threshold=t): pukf_update(s, m, cfg)[0]
+        ),
+        1.0, "threshold",
         "partitioned second-order update (param: nonlinearity threshold, "
         "accepts -inf/inf)",
     ),
     "ekf": _FilterEntry(
-        lambda _=None: _GaussianAdapter(baselines.ekf_update),
+        lambda _: _GaussianAdapter(baselines.ekf_update),
         None, "", "first-order extended Kalman filter (analytic Jacobian)",
     ),
     "ekf2": _FilterEntry(
-        lambda _=None: _GaussianAdapter(baselines.ekf2_update_analytic),
+        lambda _: _GaussianAdapter(baselines.ekf2_update_analytic),
         None, "", "second-order extended Kalman filter (analytic Hessians)",
     ),
     "ekf2n": _FilterEntry(
-        lambda _=None: _GaussianAdapter(ekf2_update_numerical),
+        lambda _: _GaussianAdapter(ekf2_update_numerical),
         None, "", "second-order update from derivative-free probes",
     ),
     "ukf": _FilterEntry(
-        lambda _=None: _GaussianAdapter(baselines.ukf_update),
+        lambda _: _GaussianAdapter(baselines.ukf_update),
         None, "", "unscented Kalman filter (alpha=1e-3, kappa=0, beta=2)",
     ),
     "iekf": _FilterEntry(
-        _build_iekf, 10, "iterations", "iterated EKF (param: iterations)",
+        lambda n: _GaussianAdapter(partial(baselines.iekf_update, iterations=int(n))),
+        10, "iterations", "iterated EKF (param: iterations)",
     ),
     "ruf": _FilterEntry(
-        _build_ruf, 10, "steps", "recursive update filter (param: update steps)",
+        lambda n: _GaussianAdapter(partial(baselines.ruf_update, steps=int(n))),
+        10, "steps", "recursive update filter (param: update steps)",
     ),
     "pf": _FilterEntry(
         _ParticleAdapter, 1000, "particles", "bootstrap particle filter "
@@ -181,11 +175,6 @@ def parse_filter(text: str):
     else:
         param = entry.default
     return text, name, param
-
-
-def _build_adapter(name, param):
-    entry = FILTERS[name]
-    return entry.build(param) if entry.param_name else entry.build()
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +213,10 @@ class CampaignConfig:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
-        if self.ref_particles < 0:
-            raise ConfigError("ref_particles must be non-negative")
+        if self.ref_particles < 0 or self.ref_particles == 1:
+            raise ConfigError(
+                f"ref_particles must be 0 or at least 2, got {self.ref_particles}"
+            )
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         for spec in self.filters:
@@ -280,18 +271,27 @@ class MetricsReport:
 # Single-run execution.
 
 
-def _resolve_scenario(cfg: CampaignConfig) -> ScenarioSpec:
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(SCENARIOS))}"
-        )
-    try:
-        spec = SCENARIOS[cfg.scenario](**cfg.scenario_overrides)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario overrides: {exc}") from None
+def _resolve_scenario(
+    cfg: CampaignConfig, spec: Optional[ScenarioSpec] = None
+) -> ScenarioSpec:
+    """The campaign's scenario (``spec`` if given), with its steps override."""
+    if spec is None:
+        if cfg.scenario not in SCENARIOS:
+            raise ConfigError(
+                f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(SCENARIOS))}"
+            )
+        try:
+            spec = SCENARIOS[cfg.scenario](**cfg.scenario_overrides)
+        except TypeError as exc:
+            raise ConfigError(f"bad scenario overrides: {exc}") from None
     if cfg.steps is not None:
         spec = replace(spec, steps=cfg.steps)
     return spec
+
+
+# Coverage probabilities as the record and report keys.
+_P_KEYS = tuple(f"{p:g}" for p in DEFAULT_PROBS)
+_OUTSIDE = (False,) * len(DEFAULT_PROBS)
 
 
 def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
@@ -302,87 +302,69 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
     configured order; only stochastic filters draw from theirs).
     """
     ss = np.random.SeedSequence([cfg.seed, run_idx])
-    children = ss.spawn(2 + len(cfg.filters))
-    truth_rng = np.random.default_rng(children[0])
-    ref_rng = np.random.default_rng(children[1])
+    truth_seq, ref_seq, *filter_seqs = ss.spawn(2 + len(cfg.filters))
+    sim = simulate_truth(spec, np.random.default_rng(truth_seq))
 
-    sim = simulate_truth(spec, truth_rng)
-    parsed = [parse_filter(s) for s in cfg.filters]
-    adapters = {label: _build_adapter(name, param) for label, name, param in parsed}
-    filter_rngs = {
-        label: np.random.default_rng(child)
-        for (label, _, _), child in zip(parsed, children[2:])
-    }
-
-    states = {}
     record = {"run": run_idx, "filters": {}}
-    for label, adapter in adapters.items():
-        states[label] = adapter.init(spec.prior, filter_rngs[label])
-        record["filters"][label] = {
+    filters = {}  # label -> [adapter, rng, state, record entry]
+    for text, seq in zip(cfg.filters, filter_seqs):
+        label, name, param = parse_filter(text)
+        adapter, rng = FILTERS[name].build(param), np.random.default_rng(seq)
+        record["filters"][label] = rec = {
             "errors": [],
-            "coverage": {f"{p:g}": [] for p in DEFAULT_PROBS},
+            "coverage": {key: [] for key in _P_KEYS},
             "kl": [] if cfg.ref_particles else None,
             "means": [],
             "diverged_at": None,
             "update_seconds": [],
         }
+        filters[label] = [adapter, rng, adapter.init(spec.prior, rng), rec]
 
-    ref_cloud = None
-    ref_degenerate = 0
+    ref_rng = np.random.default_rng(ref_seq)
     if cfg.ref_particles:
-        pts = spec.prior.mean + baselines.sample_gaussian(
-            ref_rng, spec.prior.cov, cfg.ref_particles
-        )
-        ref_cloud = baselines.ParticleCloud.uniform(pts)
+        ref_cloud = _ParticleAdapter(cfg.ref_particles).init(spec.prior, ref_rng)
+    ref_degenerate = 0
 
     for t, (truth, measurement) in enumerate(sim):
-        estimates = {}
-        for label, adapter in adapters.items():
-            rec = record["filters"][label]
-            est = None
-            if rec["diverged_at"] is None:
-                t0 = time.perf_counter()
-                try:
-                    states[label] = adapter.step(
-                        states[label], spec.state_model, measurement,
-                        filter_rngs[label],
-                    )
-                    est = adapter.estimate(states[label])
-                except (PukfError, np.linalg.LinAlgError):
-                    rec["diverged_at"] = t
-                else:
-                    rec["update_seconds"].append(time.perf_counter() - t0)
-            estimates[label] = est
-            if est is None:
-                rec["errors"].append(math.inf)
-                rec["means"].append(None)
-                inside = [False] * len(DEFAULT_PROBS)
-            else:
-                rec["errors"].append(float(np.linalg.norm(est.mean - truth)))
-                rec["means"].append([float(v) for v in est.mean])
-                try:
-                    inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
-                except PukfError:
-                    inside = [False] * len(DEFAULT_PROBS)
-            for p, ok in zip(DEFAULT_PROBS, inside):
-                rec["coverage"][f"{p:g}"].append(bool(ok))
-
-        if ref_cloud is not None:
+        if cfg.ref_particles:
             weighted = baselines.weight_particles(
                 ref_cloud, spec.state_model, measurement, ref_rng
             )
             ref_degenerate += weighted.degenerate
             grid = Grid2D.from_cloud(weighted)
             mass = grid.mass(weighted)
-            for label in adapters:
-                rec = record["filters"][label]
-                est = estimates[label]
-                if est is None:
-                    rec["kl"].append(math.inf)
+            ref_cloud = baselines.resample(weighted, ref_rng)
+
+        for entry in filters.values():
+            adapter, rng, state, rec = entry
+            est = None
+            if rec["diverged_at"] is None:
+                t0 = time.perf_counter()
+                try:
+                    state = entry[2] = adapter.step(
+                        state, spec.state_model, measurement, rng
+                    )
+                    est = adapter.estimate(state)
+                except (PukfError, np.linalg.LinAlgError):
+                    rec["diverged_at"] = t
                 else:
-                    rec["kl"].append(kl_divergence_mass(mass, est, grid))
-            idx = baselines.systematic_resample(weighted.weights, ref_rng)
-            ref_cloud = baselines.ParticleCloud.uniform(weighted.particles[idx])
+                    rec["update_seconds"].append(time.perf_counter() - t0)
+            if est is None:  # diverged at this step or before
+                error, mean, inside, kl = math.inf, None, _OUTSIDE, math.inf
+            else:
+                error = float(np.linalg.norm(est.mean - truth))
+                mean = [float(v) for v in est.mean]
+                try:
+                    inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
+                except PukfError:
+                    inside = _OUTSIDE
+                kl = kl_divergence_mass(mass, est, grid) if cfg.ref_particles else None
+            rec["errors"].append(error)
+            rec["means"].append(mean)
+            for key, ok in zip(_P_KEYS, inside):
+                rec["coverage"][key].append(bool(ok))
+            if cfg.ref_particles:
+                rec["kl"].append(kl)
 
     record["ref_degenerate_steps"] = ref_degenerate
     return record
@@ -392,8 +374,7 @@ def _run_payload(payload):
     """Process-pool entry point: rebuild the config and run one index."""
     cfg_dict, run_idx = payload
     cfg = CampaignConfig(**cfg_dict)
-    spec = _resolve_scenario(cfg)
-    return _single_run(spec, cfg, run_idx)
+    return _single_run(_resolve_scenario(cfg), cfg, run_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -402,65 +383,37 @@ def _run_payload(payload):
 
 def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> MetricsReport:
     records = sorted(records, key=lambda r: r["run"])
-    steps = spec.steps
-    parsed = [parse_filter(s) for s in cfg.filters]
     rows = []
     warnings = []
 
-    for label, name, param in parsed:
+    def row(step, metric, p, value):  # for the filter the loop is at
+        rows.append(MetricRow(label, param_str, str(step), metric, p, float(value)))
+
+    for label, _, param in map(parse_filter, cfg.filters):
         param_str = "" if param is None else f"{param:g}"
         recs = [r["filters"][label] for r in records]
+        errors = np.array([r["errors"] for r in recs], dtype=float)  # (runs, steps)
+        for t, sample in enumerate(errors.T):
+            for key, q in zip(_P_KEYS, error_quantiles(sample, DEFAULT_PROBS)):
+                row(t, "error_q", key, q)
 
-        for t in range(steps):
-            errs = [r["errors"][t] for r in recs]
-            qs = error_quantiles(errs, DEFAULT_PROBS)
-            for p, q in zip(DEFAULT_PROBS, qs):
-                rows.append(
-                    MetricRow(label, param_str, str(t), "error_q", f"{p:g}", float(q))
-                )
-
-        for p in DEFAULT_PROBS:
-            key = f"{p:g}"
-            per_step = []
-            for t in range(steps):
-                flags = [r["coverage"][key][t] for r in recs]
-                frac = float(np.mean(flags))
-                per_step.append(frac)
-                rows.append(MetricRow(label, param_str, str(t), "coverage", key, frac))
-            pooled = [
-                r["coverage"][key][t] for r in recs for t in range(steps)
-            ]
-            rows.append(
-                MetricRow(label, param_str, "all", "coverage", key, float(np.mean(pooled)))
-            )
+        for key in _P_KEYS:
+            inside = np.array([r["coverage"][key] for r in recs], dtype=bool)
+            for t, frac in enumerate(inside.mean(axis=0)):
+                row(t, "coverage", key, frac)
+            row("all", "coverage", key, inside.mean())
 
         if cfg.ref_particles:
-            pooled_kl = []
-            for t in range(steps):
-                kls = [r["kl"][t] for r in recs]
-                pooled_kl.extend(kls)
-                rows.append(
-                    MetricRow(
-                        label, param_str, str(t), "kl_median", "", float(np.median(kls))
-                    )
-                )
-            rows.append(
-                MetricRow(
-                    label, param_str, "all", "kl_median", "", float(np.median(pooled_kl))
-                )
-            )
+            kl = np.array([r["kl"] for r in recs], dtype=float)
+            for t, med in enumerate(np.median(kl, axis=0)):
+                row(t, "kl_median", "", med)
+            row("all", "kl_median", "", np.median(kl))
 
-        diverged = sum(1 for r in recs if r["diverged_at"] is not None)
-        rows.append(
-            MetricRow(label, param_str, "all", "divergences", "", float(diverged))
-        )
+        row("all", "divergences", "", sum(r["diverged_at"] is not None for r in recs))
 
         if cfg.include_timing:
             times = [s for r in recs for s in r["update_seconds"]]
-            med = float(np.median(times)) if times else math.nan
-            rows.append(
-                MetricRow(label, param_str, "all", "update_seconds_median", "", med)
-            )
+            row("all", "update_seconds_median", "", np.median(times) if times else math.nan)
 
     degenerate = sum(r.get("ref_degenerate_steps", 0) for r in records)
     if degenerate:
@@ -469,7 +422,7 @@ def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> Metric
     meta = {
         "scenario": spec.name,
         "runs": cfg.runs,
-        "steps": steps,
+        "steps": spec.steps,
         "seed": cfg.seed,
         "ref_particles": cfg.ref_particles,
         "filters": list(cfg.filters),
@@ -519,12 +472,7 @@ def run_campaign(
     appended to ``<out>.runs.jsonl`` as they finish and are reused by a
     rerun of the same semantic config.
     """
-    if scenario_spec is not None:
-        spec = scenario_spec
-        if cfg.steps is not None:
-            spec = replace(spec, steps=cfg.steps)
-    else:
-        spec = _resolve_scenario(cfg)
+    spec = _resolve_scenario(cfg, scenario_spec)
 
     want_hash = config_hash(cfg)
     done = {}

@@ -15,6 +15,7 @@ from pukf import (
     ekf_update,
     iekf_update,
     log_likelihood,
+    resample,
     ruf_update,
     sample_gaussian,
     systematic_resample,
@@ -301,6 +302,13 @@ class TestSystematicResample:
         before = weights @ particles
         after = particles[idx].mean(axis=0)
         np.testing.assert_allclose(after, before, atol=0.02)
+
+    def test_resample_cloud(self):
+        cloud = ParticleCloud([[0.0], [1.0], [2.0]], [0.0, 1.0, 0.0], degenerate=True)
+        out = resample(cloud, np.random.default_rng(13))
+        np.testing.assert_array_equal(out.particles, [[1.0], [1.0], [1.0]])
+        np.testing.assert_allclose(out.weights, 1.0 / 3.0)
+        assert not out.degenerate
 
 
 class TestLogLikelihood:

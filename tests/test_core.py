@@ -7,9 +7,11 @@ from pukf import (
     MeasurementModel,
     NonSymmetricInput,
     NotPositiveSemiDefinite,
+    SingularInnovation,
     matrix_sqrt,
     sym_eig_ascending,
 )
+from pukf.core import _solve_spd
 
 
 class TestMatrixSqrt:
@@ -140,3 +142,21 @@ class TestLinearStateModel:
     def test_indefinite_noise_rejected(self):
         with pytest.raises(NotPositiveSemiDefinite):
             LinearStateModel(np.eye(2), np.diag([1.0, -1.0]))
+
+
+class TestSolveSpd:
+    def test_solves_within_the_condition_limit(self):
+        s = np.diag([1.0, 1e-11])
+        np.testing.assert_allclose(_solve_spd(s, np.ones(2)), [1.0, 1e11])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(SingularInnovation, match="non-finite"):
+            _solve_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
+        with pytest.raises(SingularInnovation, match="non-finite"):
+            _solve_spd(np.diag([np.inf, 1.0]), np.ones(2))
+
+    def test_ill_conditioned_rejected(self):
+        with pytest.raises(SingularInnovation, match="condition"):
+            _solve_spd(np.diag([1.0, 1e-13]), np.ones(2))
+        with pytest.raises(SingularInnovation, match="condition"):
+            _solve_spd(np.ones((2, 2)), np.ones(2))  # exactly singular

@@ -37,6 +37,27 @@ class TestErrorQuantiles:
         with pytest.raises(EmptySample):
             error_quantiles([])
 
+    def test_finite_sample_is_numpy_quantile(self):
+        sample = np.random.default_rng(2).exponential(size=37)
+        np.testing.assert_array_equal(
+            error_quantiles(sample), np.quantile(sample, DEFAULT_PROBS)
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_errors(self):
+        # np.quantile gives nan for each of these: inf * 0 or inf - inf
+        inf = np.inf
+        assert error_quantiles([1.0, 2.0, inf], probs=(0.5,))[0] == 2.0
+        np.testing.assert_array_equal(
+            error_quantiles([1.0, inf], probs=(0.0, 0.25, 0.5, 0.75, 1.0)),
+            [1.0, inf, inf, inf, inf],
+        )
+        np.testing.assert_array_equal(error_quantiles([inf, inf, inf]), [inf] * 5)
+        # finite quantiles below the first inf are untouched
+        np.testing.assert_allclose(
+            error_quantiles([3.0, 1.0, inf, 2.0]), [1.15, 1.75, 2.5, inf, inf]
+        )
+
 
 class TestEllipsoidCoverage:
     def test_truth_at_mean_is_inside_everything(self):

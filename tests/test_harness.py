@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pukf import (
     AnalyticMeasurementModel,
     CampaignConfig,
     ConfigError,
+    DEFAULT_PROBS,
     GaussianState,
     LinearStateModel,
     ScenarioSpec,
@@ -53,18 +55,17 @@ def linear_scenario(steps=5):
     ), h_mat, noise, f_mat, w
 
 
-def replace_func(spec, func, from_step):
-    """``spec`` with its measurement function replaced from ``from_step`` on.
-
-    The replaced model has no ``batch``, so the particle filter evaluates
-    ``func`` too."""
+def replace_model(spec, from_step, **fields):
+    """``spec`` with ``fields`` of its measurement models replaced from
+    ``from_step`` on (pass ``batch=None`` with a new ``func`` so the
+    particle filter evaluates it too)."""
     steps_seen = itertools.count()
 
     def generator(truth, rng):
         model = spec.measurement_generator(truth, rng)
         if next(steps_seen) % spec.steps < from_step:
             return model
-        return dataclasses.replace(model, func=func, batch=None)
+        return dataclasses.replace(model, **fields)
 
     return dataclasses.replace(spec, measurement_generator=generator)
 
@@ -101,6 +102,10 @@ class TestCampaignConfig:
             CampaignConfig(**good, jobs=0)
         with pytest.raises(ConfigError):
             CampaignConfig(**good, format="xml")
+        CampaignConfig(**good, ref_particles=2)
+        for bad in (-1, 1):
+            with pytest.raises(ConfigError):
+                CampaignConfig(**good, ref_particles=bad)
         with pytest.raises(ConfigError):
             CampaignConfig(scenario="polynomial", filters=("nope",))
 
@@ -130,6 +135,7 @@ class TestCampaignConfig:
             run_campaign(cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRunCampaign:
     def test_all_filters_agree_on_linear_scenario(self):
         # on a linear-Gaussian problem every deterministic filter in the
@@ -181,7 +187,7 @@ class TestRunCampaign:
 
     def test_wrong_shape_is_not_a_divergence(self):
         spec, h_mat, *_ = linear_scenario(steps=2)
-        spec = replace_func(spec, lambda x: np.append(h_mat @ x, 0.0), from_step=0)
+        spec = replace_model(spec, 0, func=lambda x: np.append(h_mat @ x, 0.0), batch=None)
         cfg = CampaignConfig(
             scenario="polynomial", filters=("pukf@1", "ekf2n"), runs=2, steps=2
         )
@@ -190,7 +196,7 @@ class TestRunCampaign:
 
     def test_non_finite_measurement_is_a_divergence(self):
         spec, *_ = linear_scenario(steps=4)
-        spec = replace_func(spec, lambda x: np.full(2, np.nan), from_step=2)
+        spec = replace_model(spec, 2, func=lambda x: np.full(2, np.nan), batch=None)
         filters = (
             "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
             "pf@200",
@@ -198,12 +204,37 @@ class TestRunCampaign:
         cfg = CampaignConfig(
             scenario="polynomial", filters=filters, runs=2, steps=4, seed=5
         )
-        _, records = run_campaign(cfg, scenario_spec=spec)
+        report, records = run_campaign(cfg, scenario_spec=spec)
         for rec in records:
             for label, data in rec["filters"].items():
                 assert data["diverged_at"] == 2, label
                 assert np.all(np.isfinite(data["errors"][:2])), label
                 assert data["errors"][2:] == [np.inf, np.inf], label
+        for label in filters:
+            for p in DEFAULT_PROBS:
+                assert np.isfinite(report.value(label, "error_q", 1, p)), label
+                for t in (2, 3):
+                    assert report.value(label, "error_q", t, p) == np.inf, (label, t, p)
+
+    def test_singular_innovation_is_a_divergence(self):
+        spec, h_mat, *_ = linear_scenario(steps=4)
+        steep = np.zeros_like(h_mat)
+        steep[0, 0] = 1e9  # S = J P J' + R has a condition number near 1e17
+        # Each of these filters raises SingularInnovation from _solve_spd at
+        # step 2 (the iterated EKF's residual goes NaN first with a NaN J).
+        for jacobian, filters in (
+            (np.full_like(h_mat, np.nan), ("ekf", "ekf2", "ruf@2")),
+            (steep, ("ekf", "ekf2", "iekf@2", "ruf@2")),
+        ):
+            broken = replace_model(spec, 2, jacobian=lambda x, j=jacobian: j)
+            cfg = CampaignConfig(
+                scenario="polynomial", filters=filters, runs=2, steps=4, seed=5
+            )
+            _, records = run_campaign(cfg, scenario_spec=broken)
+            for rec in records:
+                for label, data in rec["filters"].items():
+                    assert data["diverged_at"] == 2, label
+                    assert data["errors"][2:] == [np.inf, np.inf], label
 
     def test_deterministic_output(self):
         cfg = CampaignConfig(
@@ -214,12 +245,16 @@ class TestRunCampaign:
         assert _report_csv(report_a) == _report_csv(report_b)
 
     def test_parallel_matches_serial(self):
-        kwargs = dict(
-            scenario="polynomial", filters=("pukf@1", "ekf"), runs=4, steps=2, seed=3
-        )
-        serial, _ = run_campaign(CampaignConfig(**kwargs))
-        parallel, _ = run_campaign(CampaignConfig(**kwargs, jobs=2))
-        assert _report_csv(serial) == _report_csv(parallel)
+        for kwargs in (
+            dict(scenario="polynomial", filters=("pukf@1", "ekf"), runs=4, steps=2, seed=3),
+            dict(
+                scenario="bearings_far_near", filters=("pukf@1", "ekf2", "pf@100"),
+                runs=3, steps=3, seed=3, ref_particles=2000,
+            ),
+        ):
+            serial, _ = run_campaign(CampaignConfig(**kwargs))
+            parallel, _ = run_campaign(CampaignConfig(**kwargs, jobs=2))
+            assert _report_csv(serial) == _report_csv(parallel), kwargs["scenario"]
 
     def test_kl_metric_present_with_reference(self):
         cfg = CampaignConfig(
@@ -244,23 +279,28 @@ class TestRunCampaign:
         assert "update_seconds_median" in metrics
 
     def test_flush_and_resume(self, tmp_path):
-        out = str(tmp_path / "report.csv")
-        cfg = CampaignConfig(
-            scenario="polynomial", filters=("ekf",), runs=4, steps=2, seed=6, out=out
-        )
-        full, _ = run_campaign(cfg)
-        partial_path = out + ".runs.jsonl"
-        lines = open(partial_path).read().splitlines()
-        assert len(lines) == 4
+        for name, kwargs in (
+            ("poly", dict(scenario="polynomial", filters=("ekf",))),
+            ("ref", dict(
+                scenario="bearings_far_near", filters=("pukf@1", "pf@100"),
+                ref_particles=500,
+            )),
+        ):
+            out = str(tmp_path / f"{name}.csv")
+            cfg = CampaignConfig(**kwargs, runs=4, steps=2, seed=6, out=out)
+            full, _ = run_campaign(cfg)
+            partial_path = Path(out + ".runs.jsonl")
+            lines = partial_path.read_text().splitlines()
+            assert len(lines) == 4
 
-        # keep two completed runs plus a torn final line, then resume
-        with open(partial_path, "w") as fh:
-            fh.write("\n".join(lines[:2]) + "\n")
-            fh.write(lines[2][: len(lines[2]) // 2])
-        resumed, _ = run_campaign(cfg)
-        assert _report_csv(resumed) == _report_csv(full)
-        # the two salvaged runs were not redone: 2 kept + 2 new lines
-        assert len(open(partial_path).read().splitlines()) == 4
+            # keep two completed runs plus a torn final line, then resume
+            partial_path.write_text(
+                "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2]
+            )
+            resumed, _ = run_campaign(cfg)
+            assert _report_csv(resumed) == _report_csv(full), name
+            # the two salvaged runs were not redone: 2 kept + 2 new lines
+            assert len(partial_path.read_text().splitlines()) == 4, name
 
     def test_resume_ignores_other_configs(self, tmp_path):
         out = str(tmp_path / "report.csv")

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps package functions at their module attributes,
 by name, for ``perfbench/run.py --trace 1``.  Deleting or renaming one of
 them breaks the traced benchmark run, so this test loads the tracer from its
-file, as it is, and installs it around a small campaign.
+file, as it is, installs it around a small campaign, and checks every
+layer's call count.
 """
 
 import importlib.util
@@ -37,18 +38,61 @@ def test_tracer_installs_counts_and_restores_the_package():
     try:
         # Through the package attribute, which the tracer has replaced.
         pukf.run_campaign(
-            CampaignConfig(scenario="polynomial", filters=("ekf2n",), runs=1, steps=3)
+            CampaignConfig(
+                scenario="polynomial",
+                filters=("pukf@1", "ekf", "ekf2", "ekf2n", "ukf", "iekf@2", "ruf@2"),
+                runs=1,
+                steps=3,
+                ref_particles=200,
+            )
         )
     finally:
         tracer.remove()
     assert package_attributes() == before
 
     metrics = tracer.layer_metrics()
-    assert metrics["harness.run_campaign.calls"][0] == 1
-    assert metrics["linearization.ekf2_update_numerical.calls"][0] == 3
-    assert metrics["linearization.linearize.calls"][0] == 3
+    calls = {
+        name[: -len(".calls")]: value
+        for name, (value, _) in metrics.items()
+        if name.endswith(".calls")
+    }
+    rounds = tracer.rounds  # partitioned rounds over the 3 pukf updates
+    assert rounds >= 3
+    assert calls == {
+        "harness.run_campaign": 1,
+        "scenarios.simulate_truth": 1,
+        # One update per filter and step: a table that bound the update
+        # functions at import would bypass the tracer and read 0 here.
+        "partitioned.pukf_update": 3,
+        "baselines.ekf_update": 3,
+        "baselines.ekf2_update_analytic": 3,
+        "linearization.ekf2_update_numerical": 3,
+        "baselines.ukf_update": 3,
+        "baselines.iekf_update": 3,
+        "baselines.ruf_update": 3,
+        # ekf2n probes once per update, pukf once per round.
+        "linearization.linearize": 3 + rounds,
+        "decorrelation.decorrelate": rounds,
+        "core.sym_eig_ascending": rounds,
+        # One innovation solve per Kalman correction: iekf@2 and ruf@2 make
+        # two per update, pukf one per round.
+        "core._solve_spd": 3 * (1 + 1 + 1 + 1 + 2 + 2) + rounds,
+        # The prior factor of ekf2n and ukf; pukf's noise factor per update
+        # and prior factor per round.
+        "core.matrix_sqrt": 3 + 3 + 3 + rounds,
+        # The scenario prior; per step 7 predictions and the 6 one-shot
+        # posteriors; pukf's belief after each round.
+        "core.GaussianState": 1 + 3 * (7 + 6) + rounds,
+        "evaluation.ellipsoid_coverage": 7 * 3,
+        "evaluation.error_quantiles": 7 * 3,
+        # Truth: the initial state and process and measurement noise per
+        # step; reference: the initial cloud and process noise per step.
+        "baselines.sample_gaussian": 1 + 3 + 3 + 1 + 3,
+        "baselines.propagate_particles": 3,
+        "baselines.log_likelihood": 3,
+        "baselines.systematic_resample": 3,
+        "evaluation.Grid2D.from_cloud": 3,
+        "evaluation.kl_divergence_grid": 0,  # campaigns bin once per step
+    }
     # n = 3: the mean, 2n axis probes and n(n-1)/2 cross probes.
     assert metrics["linearization.probe_evals_per_call"][0] == 10.0
-    # One Cholesky of the prior covariance per second-order update.
-    assert metrics["core.matrix_sqrt.calls"][0] == 3
-    assert metrics["core._solve_spd.calls"][0] == 3
