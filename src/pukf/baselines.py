@@ -91,11 +91,12 @@ UKF_KAPPA = 0.0
 UKF_BETA = 2.0
 
 
-def unscented_transform(func, mean: np.ndarray, cov: np.ndarray):
-    """Propagate a Gaussian through ``func`` with 2n+1 scaled sigma points.
+def unscented_transform(evaluate, mean: np.ndarray, cov: np.ndarray):
+    """Propagate a Gaussian through a map with 2n+1 scaled sigma points.
 
-    Returns ``(y_mean, y_cov, xy_cov)`` where ``y_cov`` does not include
-    any additive noise.
+    ``evaluate`` maps (N, n) states to (N, d) values, typically
+    :meth:`MeasurementModel.evaluate`, and is called once on all the points.
+    Returns ``(y_mean, y_cov, xy_cov)``; ``y_cov`` has no additive noise.
     """
     mean = np.asarray(mean, dtype=float)
     n = mean.shape[0]
@@ -108,7 +109,7 @@ def unscented_transform(func, mean: np.ndarray, cov: np.ndarray):
     wm[0] = lam / (n + lam)
     wc[0] = wm[0] + (1.0 - UKF_ALPHA**2 + UKF_BETA)
 
-    ys = np.array([np.atleast_1d(func(p)) for p in points], dtype=float)
+    ys = evaluate(points)
     y_mean = wm @ ys
     dy = ys - y_mean
     dx = points - mean
@@ -119,7 +120,7 @@ def unscented_transform(func, mean: np.ndarray, cov: np.ndarray):
 
 def ukf_update(prior: GaussianState, model: MeasurementModel) -> GaussianState:
     """Unscented measurement update."""
-    y_mean, y_cov, xy_cov = unscented_transform(model.func, prior.mean, prior.cov)
+    y_mean, y_cov, xy_cov = unscented_transform(model.evaluate, prior.mean, prior.cov)
     s = y_cov + model.noise_cov
     return GaussianState(
         *_correct(prior.mean, prior.cov, model.value - y_mean, s, xy_cov)
@@ -262,14 +263,8 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
-    if model.batch is not None:
-        predicted = np.asarray(model.batch(particles), dtype=float)
-    else:
-        predicted = np.array(
-            [np.atleast_1d(model.func(p)) for p in particles], dtype=float
-        )
     with np.errstate(invalid="ignore"):
-        residual = model.value - predicted  # (N, d)
+        residual = model.value - model.evaluate(particles)  # (N, d)
     out = np.full(particles.shape[0], -np.inf)
     finite = np.isfinite(residual).all(axis=1)
     if np.any(finite):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     NonFiniteEvaluation,
@@ -109,8 +109,9 @@ class MeasurementModel:
         Additive Gaussian noise covariance; must be symmetric positive
         definite.
     batch : callable, optional
-        Vectorized variant mapping (N, n) states to (N, d) measurements.
-        Used by the particle filters when present; must agree with ``func``.
+        Vectorized variant mapping (N, n) states to (N, d) measurements;
+        must agree with ``func``.  When present, :meth:`evaluate` calls it
+        instead of looping over ``func``.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -141,6 +142,19 @@ class MeasurementModel:
     @property
     def dim(self) -> int:
         return self.value.shape[0]
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The map at each row of ``points`` (N, n), as an (N, d) array: one
+        ``batch`` call, or one ``func`` call per row when there is no batch.
+        Raises ValueError on any other shape; finiteness is not checked."""
+        if self.batch is not None:
+            ys = np.asarray(self.batch(points), dtype=float)
+        else:
+            ys = np.array([np.atleast_1d(self.func(p)) for p in points], dtype=float)
+        want = (len(points), self.dim)
+        if ys.shape != want:
+            raise ValueError(f"measurement map returned shape {ys.shape}, expected {want}")
+        return ys
 
 
 @dataclass(frozen=True)
@@ -249,22 +263,22 @@ def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve S X = B for a symmetric positive-definite float array S.
 
-    Used for innovation solves; raises SingularInnovation when the
-    condition estimate exceeds 1e12 or the factorization fails, so filters
-    never form an explicit inverse of a near-singular innovation.
+    Used for innovation solves; raises SingularInnovation when the 2-norm
+    condition w_max/w_min of S (inf unless w_min > 0) exceeds 1e12 or the
+    factorization fails, so filters never invert a near-singular innovation.
     """
     if not np.all(np.isfinite(s)):
         raise SingularInnovation("innovation covariance contains non-finite entries")
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    w = np.linalg.eigvalsh(s)
+    cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
+    if cond > COND_LIMIT:
         raise SingularInnovation(
             f"innovation covariance condition estimate {cond:.3e} exceeds 1e12"
         )
-    try:
-        c, low = scipy.linalg.cho_factor(s, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise SingularInnovation("innovation covariance factorization failed") from None
-    return scipy.linalg.cho_solve((c, low), b)
+    c, info = dpotrf(s, lower=1, clean=0)
+    if info != 0:
+        raise SingularInnovation("innovation covariance factorization failed")
+    return dpotrs(c, b, lower=1)[0]
 
 
 def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:

@@ -128,19 +128,16 @@ def decorrelate(
 def transform_model(model: MeasurementModel, rows: np.ndarray) -> MeasurementModel:
     """Mix a measurement model by a row block: y -> rows @ y.
 
-    The returned model evaluates ``rows @ func(x)``, carries the mixed
-    value and noise covariance, and keeps a vectorized ``batch`` when the
-    source model has one.
+    The returned model's ``batch`` mixes the source's
+    :meth:`MeasurementModel.evaluate`, and its ``func`` is that map at one
+    point; it carries the mixed value and noise covariance.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    func = model.func
-    mixed_batch = None
-    if model.batch is not None:
-        src_batch = model.batch
-        mixed_batch = lambda xs: src_batch(xs) @ rows.T  # noqa: E731
+    evaluate = model.evaluate
+    mixed = lambda xs: evaluate(xs) @ rows.T  # noqa: E731
     return MeasurementModel(
-        func=lambda x: rows @ np.asarray(func(x), dtype=float),
+        func=lambda x: mixed(np.atleast_2d(x))[0],
         value=rows @ model.value,
         noise_cov=symmetrize(rows @ model.noise_cov @ rows.T),
-        batch=mixed_batch,
+        batch=mixed,
     )

@@ -219,8 +219,9 @@ class CampaignConfig:
             )
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        for spec in self.filters:
-            parse_filter(spec)
+        labels = [parse_filter(spec)[0] for spec in self.filters]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"a filter label is listed twice in {labels}")
 
 
 def config_hash(cfg: CampaignConfig) -> str:

@@ -67,31 +67,32 @@ class LinearizationSummary:
     sqrt_cov: np.ndarray
 
 
-def _eval(func, x, d=None):
-    y = np.atleast_1d(np.asarray(func(x), dtype=float))
-    if not np.all(np.isfinite(y)):
+def _eval(evaluate, points):
+    ys = evaluate(points)
+    bad = ~np.isfinite(ys).all(axis=1)
+    if np.any(bad):
         raise NonFiniteEvaluation(
-            f"function returned non-finite value {y} at probe point {x}"
+            f"function returned a non-finite value at probe point {points[bad][0]}"
         )
-    if d is not None and y.shape != (d,):
-        raise ValueError(f"function returned shape {y.shape}, expected ({d},)")
-    return y
+    return ys
 
 
 def linearize(
-    func, mean: np.ndarray, sqrt_cov: np.ndarray, gamma: float = GAMMA_DEFAULT
+    evaluate, mean: np.ndarray, sqrt_cov: np.ndarray, gamma: float = GAMMA_DEFAULT
 ) -> LinearizationSummary:
-    """Probe ``func`` around ``mean`` and assemble second-order statistics.
+    """Probe a map around ``mean`` and assemble second-order statistics.
 
     Parameters
     ----------
-    func : callable
-        Map from (n,) to (d,); evaluated at 1 + 2n + n(n-1)/2 points.
+    evaluate : callable
+        Map from (N, n) states to (N, d) values, typically
+        :meth:`MeasurementModel.evaluate`; called once, on all 1 + 2n +
+        n(n-1)/2 probes: mean, mean +- g_i and (mean + g_i) + g_j for i < j.
     mean : ndarray, shape (n,)
         Expansion point.
     sqrt_cov : ndarray, shape (n, n)
         Square root of the covariance (typically from :func:`matrix_sqrt`);
-        probe offsets are gamma times its columns.
+        the probe offsets g_i are gamma times its columns.
     gamma : float
         Positive finite probe scale.  The default sqrt(3) matches the Gaussian
         fourth moment.
@@ -106,30 +107,20 @@ def linearize(
     mean = np.asarray(mean, dtype=float)
     sqrt_cov = np.asarray(sqrt_cov, dtype=float)
     n = mean.shape[0]
-
-    h0 = _eval(func, mean)
-    d = h0.shape[0]
     delta = gamma * sqrt_cov.T  # row i is the i-th probe offset
+    i, j = np.triu_indices(n, 1)
+    plus_points = mean + delta
+    stencil = np.vstack([mean, plus_points, mean - delta, plus_points[i] + delta[j]])
 
-    plus = np.empty((n, d))
-    minus = np.empty((n, d))
-    for i in range(n):
-        plus[i] = _eval(func, mean + delta[i], d)
-        minus[i] = _eval(func, mean - delta[i], d)
+    ys = _eval(evaluate, stencil)
+    h0, plus, minus, cross = ys[0], ys[1 : n + 1], ys[n + 1 : 2 * n + 1], ys[2 * n + 1 :]
 
     M = (plus - minus).T / (2.0 * gamma)
 
     g2 = gamma * gamma
-    Q = np.zeros((d, n, n))
-    diag = (plus + minus - 2.0 * h0) / g2  # (n, d)
-    for i in range(n):
-        Q[:, i, i] = diag[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = _eval(func, mean + delta[i] + delta[j], d)
-            qij = (cross - plus[i] - plus[j] + h0) / g2
-            Q[:, i, j] = qij
-            Q[:, j, i] = qij
+    Q = np.empty((h0.shape[0], n, n))
+    Q[:, range(n), range(n)] = ((plus + minus - 2.0 * h0) / g2).T
+    Q[:, i, j] = Q[:, j, i] = ((cross - plus[i] - plus[j] + h0) / g2).T
 
     xi = np.trace(Q, axis1=1, axis2=2)
     Xi = np.einsum("kij,lij->kl", Q, Q)
@@ -166,5 +157,5 @@ def ekf2_update_numerical(
     prior: GaussianState, model: MeasurementModel
 ) -> GaussianState:
     """Convenience wrapper: linearize at the prior, then update."""
-    lin = linearize(model.func, prior.mean, matrix_sqrt(prior.cov))
+    lin = linearize(model.evaluate, prior.mean, matrix_sqrt(prior.cov))
     return ekf2_update(prior, model, lin)

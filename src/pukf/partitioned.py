@@ -98,7 +98,7 @@ def pukf_update(
     rounds = []
     while d > 0:
         sqrt_p = matrix_sqrt(cov)
-        lin = linearize(model.func, mean, sqrt_p)
+        lin = linearize(model.evaluate, mean, sqrt_p)
         dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, config.threshold)
         k = dec.split_k
         head = dec.D[:k] @ rows

@@ -39,6 +39,11 @@ def random_quadratic(rng, n, d, curvature=1.0):
     return func, jacobian, hessians
 
 
+def pointwise(func):
+    """The (N, n) -> (N, d) map that calls a per-point ``func`` on each row."""
+    return lambda xs: np.array([np.atleast_1d(func(x)) for x in xs], dtype=float)
+
+
 def kalman_update(mean, cov, h_mat, noise_cov, value):
     """Textbook linear Kalman measurement update (the exactness oracle)."""
     h_mat = np.atleast_2d(h_mat)

@@ -118,7 +118,7 @@ def test_01_worked_example_goldens():
     model = MeasurementModel(func=func, value=np.zeros(2), noise_cov=np.eye(2))
 
     # Per-element and total nonlinearity at the prior.
-    lin = linearize(func, prior.mean, matrix_sqrt(prior.cov))
+    lin = linearize(model.evaluate, prior.mean, matrix_sqrt(prior.cov))
     per_element = np.diag(np.linalg.solve(model.noise_cov, lin.Xi))
     np.testing.assert_allclose(per_element, [4.0, 4.0], atol=1e-8)
     total = nonlinearity(lin.Xi, model.noise_cov)
@@ -389,7 +389,7 @@ def test_07_probe_linearization_exact_on_quadratics():
         d = int(rng.integers(1, 5))
         prior, model = _random_quadratic(rng, n, d)
         sqrt_cov = matrix_sqrt(prior.cov)
-        lin = linearize(model.func, prior.mean, sqrt_cov)
+        lin = linearize(model.evaluate, prior.mean, sqrt_cov)
         M_exact = model.jacobian(prior.mean) @ sqrt_cov
         Q_exact = np.einsum(
             "ai,rab,bj->rij", sqrt_cov, model.hessians(prior.mean), sqrt_cov

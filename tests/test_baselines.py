@@ -119,19 +119,17 @@ class TestUnscentedTransform:
         a = rng.normal(size=(2, 3))
         mean = rng.normal(size=3)
         cov = random_spd(rng, 3)
-        y_mean, y_cov, xy_cov = unscented_transform(lambda x: a @ x, mean, cov)
+        y_mean, y_cov, xy_cov = unscented_transform(lambda xs: xs @ a.T, mean, cov)
         np.testing.assert_allclose(y_mean, a @ mean, atol=1e-9)
         np.testing.assert_allclose(y_cov, a @ cov @ a.T, atol=1e-6)
         np.testing.assert_allclose(xy_cov, cov @ a.T, atol=1e-6)
 
     def test_quadratic_mean_is_exact(self):
         # E[x^2] = mu^2 + P; sigma points capture this for any spread
-        y_mean, _, _ = unscented_transform(
-            lambda x: np.array([x[0] ** 2]), np.array([0.0]), np.eye(1)
-        )
+        y_mean, _, _ = unscented_transform(lambda xs: xs**2, np.array([0.0]), np.eye(1))
         np.testing.assert_allclose(y_mean, [1.0], atol=1e-6)
         y_mean, _, _ = unscented_transform(
-            lambda x: np.array([x[0] ** 2]), np.array([2.0]), np.array([[3.0]])
+            lambda xs: xs**2, np.array([2.0]), np.array([[3.0]])
         )
         np.testing.assert_allclose(y_mean, [7.0], atol=1e-5)
 
@@ -156,6 +154,26 @@ class TestUkfUpdate:
             )
             np.testing.assert_allclose(post.mean, want_mean, atol=1e-6)
             np.testing.assert_allclose(post.cov, want_cov, atol=1e-6)
+
+    def test_loop_path_calls_func_once_per_sigma_point(self):
+        calls = []
+
+        def func(x):
+            calls.append(1)
+            return np.array([x[0] ** 2 + x[1], np.sin(x[1])])
+
+        fields = dict(func=func, value=[0.5, 0.1], noise_cov=np.eye(2))
+        batched = MeasurementModel(
+            **fields,
+            batch=lambda xs: np.stack([xs[:, 0] ** 2 + xs[:, 1], np.sin(xs[:, 1])], 1),
+        )
+        prior = GaussianState([0.3, -0.2], [[1.0, 0.2], [0.2, 0.5]])
+        looped = ukf_update(prior, MeasurementModel(**fields))
+        assert len(calls) == 2 * 2 + 1
+        want = ukf_update(prior, batched)
+        assert len(calls) == 2 * 2 + 1  # the batch path does not call func
+        np.testing.assert_allclose(looped.mean, want.mean, atol=1e-12)
+        np.testing.assert_allclose(looped.cov, want.cov, atol=1e-12)
 
 
 class TestIekfUpdate:
@@ -343,6 +361,20 @@ class TestLogLikelihood:
             log_likelihood(looped, particles),
             atol=1e-12,
         )
+
+    def test_loop_path_calls_func_once_per_particle(self):
+        calls = []
+
+        def func(x):
+            calls.append(1)
+            return np.array([x[0] - x[1]])
+
+        model = MeasurementModel(func=func, value=[0.2], noise_cov=[[0.5]])
+        particles = np.random.default_rng(16).normal(size=(30, 2))
+        got = log_likelihood(model, particles)
+        assert len(calls) == 30
+        residual = 0.2 - (particles[:, 0] - particles[:, 1])
+        np.testing.assert_allclose(got, -residual**2, atol=1e-12)
 
 
 class TestBootstrapPfStep:

@@ -133,6 +133,36 @@ class TestMeasurementModel:
         assert m.dim == 1
         np.testing.assert_array_equal(m.value, [1.0])
 
+    def test_evaluate_calls_batch_once_or_func_per_row(self):
+        calls = []
+
+        def func(x):
+            calls.append("func")
+            return np.array([x[0] * x[1], x[0] - x[1]])
+
+        def batch(xs):
+            calls.append("batch")
+            return np.stack([xs[:, 0] * xs[:, 1], xs[:, 0] - xs[:, 1]], axis=1)
+
+        xs = np.random.default_rng(1).normal(size=(5, 2))
+        looped = MeasurementModel(func=func, value=[0.0, 0.0], noise_cov=np.eye(2))
+        batched = MeasurementModel(
+            func=func, value=[0.0, 0.0], noise_cov=np.eye(2), batch=batch
+        )
+        np.testing.assert_array_equal(looped.evaluate(xs), batched.evaluate(xs))
+        assert calls == ["func"] * 5 + ["batch"]
+
+    def test_evaluate_rejects_a_wrong_shape_on_either_path(self):
+        xs = np.zeros((4, 2))
+        for fields in (
+            dict(func=lambda x: np.zeros(3)),
+            dict(func=lambda x: np.zeros(2), batch=lambda xs: np.zeros((4, 1))),
+            dict(func=lambda x: np.zeros(2), batch=lambda xs: np.zeros(4)),
+        ):
+            model = MeasurementModel(value=[0.0, 0.0], noise_cov=np.eye(2), **fields)
+            with pytest.raises(ValueError, match="shape"):
+                model.evaluate(xs)
+
 
 class TestLinearStateModel:
     def test_psd_noise_accepted(self):

@@ -12,7 +12,7 @@ from pukf import (
     transform_model,
 )
 
-from helpers import charpoly_eigenvalues, random_quadratic, random_spd
+from helpers import charpoly_eigenvalues, pointwise, random_quadratic, random_spd
 
 SQRT2 = np.sqrt(2.0)
 
@@ -20,7 +20,7 @@ SQRT2 = np.sqrt(2.0)
 def example_linearization():
     func = lambda x: np.array([x[0] ** 2 - 2 * x[0] - 4, -x[0] ** 2 + 1.5])
     prior = GaussianState([1.0], [[1.0]])
-    return func, prior, linearize(func, prior.mean, matrix_sqrt(prior.cov))
+    return func, prior, linearize(pointwise(func), prior.mean, matrix_sqrt(prior.cov))
 
 
 class TestNonlinearity:

@@ -58,7 +58,7 @@ def linear_scenario(steps=5):
 def replace_model(spec, from_step, **fields):
     """``spec`` with ``fields`` of its measurement models replaced from
     ``from_step`` on (pass ``batch=None`` with a new ``func`` so the
-    particle filter evaluates it too)."""
+    probe, sigma-point and particle filters evaluate it too)."""
     steps_seen = itertools.count()
 
     def generator(truth, rng):
@@ -108,6 +108,15 @@ class TestCampaignConfig:
                 CampaignConfig(**good, ref_particles=bad)
         with pytest.raises(ConfigError):
             CampaignConfig(scenario="polynomial", filters=("nope",))
+
+    def test_a_filter_listed_twice_is_rejected(self):
+        # The label is the report key, so a repeated label would write every
+        # row of that filter twice.
+        for filters in (("ekf", "pukf@1", "ekf"), ("pukf@1", " pukf@1")):
+            with pytest.raises(ConfigError, match="twice"):
+                CampaignConfig(scenario="polynomial", filters=filters)
+        # Different spellings of the same filter are different labels.
+        CampaignConfig(scenario="polynomial", filters=("pukf", "pukf@1"))
 
     def test_hash_covers_semantics_only(self):
         base = CampaignConfig(scenario="polynomial", filters=("ekf",), runs=3, seed=7)
@@ -192,6 +201,16 @@ class TestRunCampaign:
             scenario="polynomial", filters=("pukf@1", "ekf2n"), runs=2, steps=2
         )
         with pytest.raises(ValueError):
+            run_campaign(cfg, scenario_spec=spec)
+
+    @pytest.mark.parametrize("label", ["pukf@1", "ekf2n", "ukf", "pf@50"])
+    def test_wrong_shape_batch_is_not_a_divergence(self, label):
+        # (N, 1) would broadcast against the 2-vector measurement; every
+        # consumer of the vectorized map must refuse it, not diverge on it.
+        spec, h_mat, *_ = linear_scenario(steps=2)
+        spec = replace_model(spec, 0, batch=lambda xs: (xs @ h_mat.T)[:, :1])
+        cfg = CampaignConfig(scenario="polynomial", filters=(label,), runs=1, steps=2)
+        with pytest.raises(ValueError, match="shape"):
             run_campaign(cfg, scenario_spec=spec)
 
     def test_non_finite_measurement_is_a_divergence(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -13,7 +15,7 @@ from pukf import (
 from pukf.core import AnalyticMeasurementModel
 from pukf.baselines import ekf_update
 
-from helpers import random_quadratic, random_spd
+from helpers import pointwise, random_quadratic, random_spd
 
 # The running worked example: two quadratic components of a scalar state.
 # h1 = x^2 - 2x - 4 and h2 = -x^2 + 3/2, prior N(1, 1), unit noise.
@@ -27,14 +29,15 @@ class TestLinearize:
         rng = np.random.default_rng(0)
         a_mat = rng.normal(size=(3, 2))
         sqrt_p = matrix_sqrt(random_spd(rng, 2))
-        lin = linearize(lambda x: a_mat @ x, np.array([0.3, -0.7]), sqrt_p)
+        lin = linearize(lambda xs: xs @ a_mat.T, np.array([0.3, -0.7]), sqrt_p)
         np.testing.assert_allclose(lin.M, a_mat @ sqrt_p, atol=1e-12)
         np.testing.assert_allclose(lin.Q, 0.0, atol=1e-12)
         np.testing.assert_allclose(lin.xi, 0.0, atol=1e-12)
         np.testing.assert_allclose(lin.Xi, 0.0, atol=1e-12)
 
     def test_worked_example_statistics(self):
-        lin = linearize(EXAMPLE_FUNC, EXAMPLE_PRIOR.mean, matrix_sqrt(EXAMPLE_PRIOR.cov))
+        sqrt_p = matrix_sqrt(EXAMPLE_PRIOR.cov)
+        lin = linearize(pointwise(EXAMPLE_FUNC), EXAMPLE_PRIOR.mean, sqrt_p)
         np.testing.assert_allclose(lin.M, [[0.0], [-2.0]], atol=1e-12)
         np.testing.assert_allclose(lin.Q[:, 0, 0], [2.0, -2.0], atol=1e-12)
         np.testing.assert_allclose(lin.xi, [2.0, -2.0], atol=1e-12)
@@ -50,7 +53,7 @@ class TestLinearize:
             func, jacobian, hessians = random_quadratic(rng, n, d)
             mean = rng.normal(size=n)
             sqrt_p = matrix_sqrt(random_spd(rng, n))
-            lin = linearize(func, mean, sqrt_p, gamma)
+            lin = linearize(pointwise(func), mean, sqrt_p, gamma)
             scale = 1.0 + np.abs(lin.M).max()
             np.testing.assert_allclose(
                 lin.M, jacobian(mean) @ sqrt_p, atol=1e-8 * scale
@@ -63,7 +66,8 @@ class TestLinearize:
     def test_trace_statistics_match_definition(self):
         rng = np.random.default_rng(23)
         func, _, _ = random_quadratic(rng, 3, 4)
-        lin = linearize(func, rng.normal(size=3), matrix_sqrt(random_spd(rng, 3)))
+        sqrt_p = matrix_sqrt(random_spd(rng, 3))
+        lin = linearize(pointwise(func), rng.normal(size=3), sqrt_p)
         np.testing.assert_array_equal(
             lin.xi, np.trace(lin.Q, axis1=1, axis2=2)
         )
@@ -78,7 +82,8 @@ class TestLinearize:
         rng = np.random.default_rng(29)
         for _ in range(30):
             func, _, _ = random_quadratic(rng, 3, 5)
-            lin = linearize(func, rng.normal(size=3), matrix_sqrt(random_spd(rng, 3)))
+            sqrt_p = matrix_sqrt(random_spd(rng, 3))
+            lin = linearize(pointwise(func), rng.normal(size=3), sqrt_p)
             w = np.linalg.eigvalsh(lin.Xi)
             assert w[0] >= -1e-9 * max(w[-1], 1.0)
 
@@ -90,8 +95,19 @@ class TestLinearize:
                 calls.append(np.array(x))
                 return np.array([float(np.sum(x**2)), float(np.sum(x))])
 
-            linearize(counted, np.zeros(n), np.eye(n))
+            model = MeasurementModel(func=counted, value=[0, 0], noise_cov=np.eye(2))
+            linearize(model.evaluate, np.zeros(n), np.eye(n))
             assert len(calls) == 1 + 2 * n + n * (n - 1) // 2
+
+    def test_nonfinite_batch_raises(self):
+        model = MeasurementModel(
+            func=lambda x: np.ones(2),
+            value=[0.0, 0.0],
+            noise_cov=np.eye(2),
+            batch=lambda xs: np.where(xs[:, :1] > 0.5, np.nan, 1.0) * np.ones((1, 2)),
+        )
+        with pytest.raises(NonFiniteEvaluation):
+            linearize(model.evaluate, np.zeros(2), np.eye(2))
 
     def test_nonfinite_probe_raises(self):
         def bad(x):
@@ -99,12 +115,76 @@ class TestLinearize:
                 return np.array([np.sqrt(x[0])])  # NaN for negative probes
 
         with pytest.raises(NonFiniteEvaluation):
-            linearize(bad, np.array([0.1]), np.eye(1))
+            linearize(pointwise(bad), np.array([0.1]), np.eye(1))
 
     def test_gamma_must_be_positive(self):
         for gamma in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
-                linearize(lambda x: x, np.zeros(1), np.eye(1), gamma=gamma)
+                linearize(lambda xs: xs, np.zeros(1), np.eye(1), gamma=gamma)
+
+
+def quadratic_maps(rng, n, d):
+    """A random quadratic a + sum_i b_i x_i + sum_ij c_ij x_i x_j / 2 in
+    elementwise operations only, as a per-point map and a batch map.
+
+    A reduction such as ``sum(axis=(-2, -1))`` may add in a different order
+    for (N, ...) than for one point, so the two maps would not round alike.
+    """
+    a = rng.normal(size=d)
+    b = rng.normal(size=(d, n))
+    c = rng.normal(size=(d, n, n))
+
+    def h(x):  # (n,) -> (d,) and (N, n) -> (N, d)
+        y = a
+        for i in range(n):
+            xi = x[..., i, None]
+            y = y + b[:, i] * xi
+            for j in range(n):
+                y = y + 0.5 * c[:, i, j] * xi * x[..., j, None]
+        return y
+
+    return h, h
+
+
+def bearings_maps(rng, n, d):
+    """Bearings of the state's first two coordinates from d random sensors."""
+    sensors = rng.normal(scale=5.0, size=(d, 2))
+
+    def func(x):
+        return np.arctan2(x[1] - sensors[:, 1], x[0] - sensors[:, 0])
+
+    def batch(xs):
+        return np.arctan2(
+            xs[:, 1:2] - sensors[None, :, 1], xs[:, 0:1] - sensors[None, :, 0]
+        )
+
+    return func, batch
+
+
+class TestBatchAndLoopAgree:
+    """One stencil, two evaluation paths: a model's ``batch`` and the loop
+    over its ``func`` hand ``linearize`` the same values, so every summary
+    field is bit-for-bit the same."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        maps=st.sampled_from([quadratic_maps, bearings_maps]),
+    )
+    def test_same_summary_bit_for_bit(self, n, d, seed, maps):
+        rng = np.random.default_rng(seed)
+        func, batch = maps(rng, n, d)
+        fields = dict(func=func, value=np.zeros(d), noise_cov=np.eye(d))
+        looped = MeasurementModel(**fields)
+        batched = MeasurementModel(**fields, batch=batch)
+        mean = rng.normal(size=n)
+        sqrt_p = matrix_sqrt(random_spd(rng, n))
+        want = linearize(looped.evaluate, mean, sqrt_p)
+        got = linearize(batched.evaluate, mean, sqrt_p)
+        for name in ("M", "Q", "xi", "Xi", "h_at_mean"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestEkf2Update:
@@ -131,7 +211,7 @@ class TestEkf2Update:
         # zero because the map has no odd component, so the update is a no-op.
         prior = GaussianState([0.0], [[1.0]])
         func = lambda x: np.array([x[0] ** 2])
-        lin = linearize(func, prior.mean, matrix_sqrt(prior.cov))
+        lin = linearize(pointwise(func), prior.mean, matrix_sqrt(prior.cov))
         yhat = lin.h_at_mean + 0.5 * lin.xi
         s = lin.M @ lin.M.T + 0.5 * lin.Xi + np.eye(1)
         np.testing.assert_allclose(yhat, [1.0], atol=1e-12)
@@ -155,7 +235,7 @@ class TestEkf2Update:
                 func=func, value=value, noise_cov=noise,
                 jacobian=jacobian, hessians=hessians,
             )
-            lin = linearize(func, prior.mean, matrix_sqrt(prior.cov))
+            lin = linearize(pointwise(func), prior.mean, matrix_sqrt(prior.cov))
             stripped = dataclasses.replace(
                 lin, xi=np.zeros_like(lin.xi), Xi=np.zeros_like(lin.Xi)
             )

@@ -16,7 +16,7 @@ from pukf import (
     transform_model,
 )
 
-from helpers import kalman_update, random_quadratic, random_spd
+from helpers import kalman_update, pointwise, random_quadratic, random_spd
 
 
 def example_model(value=(1.0, -1.0)):
@@ -41,7 +41,7 @@ def reference_partitioned(prior, model, threshold):
     while value.size:
         d = value.size
         sqrt_cov = np.linalg.cholesky(cov)
-        lin = linearize(func, mean, sqrt_cov)
+        lin = linearize(pointwise(func), mean, sqrt_cov)
         sqrt_noise = np.linalg.cholesky(noise)
         white = scipy.linalg.solve_triangular(sqrt_noise, lin.Xi, lower=True)
         white = scipy.linalg.solve_triangular(sqrt_noise, white.T, lower=True).T
@@ -244,6 +244,32 @@ class TestMixingInvariance:
         for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
             scale = 1.0 + np.abs(b).max()
             assert np.abs(a - b).max() / scale < 1e-7
+
+
+class TestRoundInvariants:
+    """Whatever the threshold, the rounds use up the whole measurement, one
+    block each, and every round leaves a PSD belief."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([-np.inf, 0.1, 1.0, np.inf]),
+    )
+    def test_blocks_sum_to_d_and_rounds_stay_psd(self, n, d, seed, threshold):
+        rng = np.random.default_rng(seed)
+        func, _, _ = random_quadratic(rng, n, d, curvature=0.5)
+        prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
+        model = MeasurementModel(
+            func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
+        )
+        _, trace = pukf_update(prior, model, PukfConfig(threshold=threshold))
+        assert sum(trace.split_sizes) == d
+        assert all(k >= 1 for k in trace.split_sizes)
+        for rnd in trace.rounds:
+            w = np.linalg.eigvalsh(rnd.posterior.cov)
+            assert w[0] >= -1e-9 * max(w[-1], 0.0)
 
 
 class TestPukfStep:

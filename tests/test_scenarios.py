@@ -158,7 +158,7 @@ class TestPolynomialScenario:
         # combinations, and each quadratic basis element x^2/2 with prior
         # variance 16 and unit transformed noise contributes tr(P H)^2 = 256
         prior = self.spec.prior
-        lin = linearize(self.model.func, prior.mean, matrix_sqrt(prior.cov))
+        lin = linearize(self.model.evaluate, prior.mean, matrix_sqrt(prior.cov))
         np.testing.assert_allclose(lin.xi, [48.0, 48.0, 48.0, 64.0, 64.0, 64.0], atol=1e-8)
         dec = decorrelate(lin.Xi, matrix_sqrt(self.model.noise_cov), threshold=1.0)
         np.testing.assert_allclose(
@@ -273,7 +273,8 @@ class TestBearingsScenarios:
         for spec, has_linear_element in cases:
             truth = np.array([1.0, 1.0, 0.0, 0.0])
             model = spec.measurement_generator(truth, rng)
-            lin = linearize(model.func, spec.prior.mean, matrix_sqrt(spec.prior.cov))
+            sqrt_p = matrix_sqrt(spec.prior.cov)
+            lin = linearize(model.evaluate, spec.prior.mean, sqrt_p)
             dec = decorrelate(lin.Xi, matrix_sqrt(model.noise_cov), threshold=1.0)
             assert dec.split_k == 1
             assert dec.lambdas[-1] > 100.0

@@ -94,5 +94,6 @@ def test_tracer_installs_counts_and_restores_the_package():
         "evaluation.Grid2D.from_cloud": 3,
         "evaluation.kl_divergence_grid": 0,  # campaigns bin once per step
     }
-    # n = 3: the mean, 2n axis probes and n(n-1)/2 cross probes.
-    assert metrics["linearization.probe_evals_per_call"][0] == 10.0
+    # One checked evaluation per linearization: the whole stencil (for n = 3
+    # the mean, 2n axis probes and n(n-1)/2 cross probes) goes in one call.
+    assert metrics["linearization.probe_evals_per_call"][0] == 1.0
