@@ -44,14 +44,18 @@ __all__ = [
 ]
 
 
+def _first_order(mean, cov, model: AnalyticMeasurementModel, noise_cov):
+    """One first-order pass linearized at ``mean`` against ``noise_cov``:
+    S = J P J' + noise_cov, then :func:`core._correct`."""
+    jac = np.atleast_2d(model.jacobian(mean))
+    residual = model.value - model.evaluate(mean[None])[0]
+    s = jac @ cov @ jac.T + noise_cov
+    return _correct(mean, cov, residual, s, cov @ jac.T)
+
+
 def ekf_update(prior: GaussianState, model: AnalyticMeasurementModel) -> GaussianState:
     """First-order extended Kalman update with an analytic Jacobian."""
-    jac = np.atleast_2d(model.jacobian(prior.mean))
-    residual = model.value - np.atleast_1d(model.func(prior.mean))
-    s = jac @ prior.cov @ jac.T + model.noise_cov
-    return GaussianState(
-        *_correct(prior.mean, prior.cov, residual, s, prior.cov @ jac.T)
-    )
+    return GaussianState(*_first_order(prior.mean, prior.cov, model, model.noise_cov))
 
 
 def _trace_corrections(cov: np.ndarray, hessians: np.ndarray):
@@ -76,7 +80,7 @@ def ekf2_update_analytic(
     jac = np.atleast_2d(model.jacobian(prior.mean))
     hes = np.asarray(model.hessians(prior.mean), dtype=float)
     xi, big_xi = _trace_corrections(prior.cov, hes)
-    yhat = np.atleast_1d(model.func(prior.mean)) + 0.5 * xi
+    yhat = model.evaluate(prior.mean[None])[0] + 0.5 * xi
     s = jac @ prior.cov @ jac.T + 0.5 * big_xi + model.noise_cov
     return GaussianState(
         *_correct(prior.mean, prior.cov, model.value - yhat, s, prior.cov @ jac.T)
@@ -143,7 +147,7 @@ def iekf_update(
     for _ in range(iterations):
         jac = np.atleast_2d(model.jacobian(x))
         s = jac @ prior.cov @ jac.T + model.noise_cov
-        residual = model.value - np.atleast_1d(model.func(x)) - jac @ (mu0 - x)
+        residual = model.value - model.evaluate(x[None])[0] - jac @ (mu0 - x)
         x, cov = _correct(mu0, prior.cov, residual, s, prior.cov @ jac.T)
     return GaussianState(x, cov)
 
@@ -162,13 +166,9 @@ def ruf_update(
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     inflated = float(steps) * model.noise_cov
-    mean = prior.mean
-    cov = prior.cov
+    mean, cov = prior.mean, prior.cov
     for _ in range(steps):
-        jac = np.atleast_2d(model.jacobian(mean))
-        residual = model.value - np.atleast_1d(model.func(mean))
-        s = jac @ cov @ jac.T + inflated
-        mean, cov = _correct(mean, cov, residual, s, cov @ jac.T)
+        mean, cov = _first_order(mean, cov, model, inflated)
     return GaussianState(mean, cov)
 
 

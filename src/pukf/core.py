@@ -9,7 +9,7 @@ PSD so that numerical asymmetry cannot accumulate across filter steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -101,25 +101,19 @@ class MeasurementModel:
     Parameters
     ----------
     func : callable
-        Deterministic map from a state vector (n,) to a measurement vector
-        (d,).  Must be finite wherever the filters probe it.
+        Deterministic vectorized map from states (N, n) to measurements
+        (N, d), one row per state.  Must be finite wherever the filters
+        probe it.
     value : array_like, shape (d,)
         The realized measurement.
     noise_cov : array_like, shape (d, d)
         Additive Gaussian noise covariance; must be symmetric positive
         definite.
-    batch : callable, optional
-        Vectorized variant mapping (N, n) states to (N, d) measurements;
-        must agree with ``func``.  When present, :meth:`evaluate` calls it
-        instead of looping over ``func``.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     value: np.ndarray
     noise_cov: np.ndarray
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, kw_only=True
-    )
 
     def __post_init__(self):
         value = np.atleast_1d(np.asarray(self.value, dtype=float))
@@ -144,13 +138,10 @@ class MeasurementModel:
         return self.value.shape[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """The map at each row of ``points`` (N, n), as an (N, d) array: one
-        ``batch`` call, or one ``func`` call per row when there is no batch.
-        Raises ValueError on any other shape; finiteness is not checked."""
-        if self.batch is not None:
-            ys = np.asarray(self.batch(points), dtype=float)
-        else:
-            ys = np.array([np.atleast_1d(self.func(p)) for p in points], dtype=float)
+        """``func`` at each row of ``points`` (N, n), as an (N, d) array.
+        Raises ValueError on any other shape, so a map that does not
+        vectorize fails here; finiteness is not checked."""
+        ys = np.asarray(self.func(points), dtype=float)
         want = (len(points), self.dim)
         if ys.shape != want:
             raise ValueError(f"measurement map returned shape {ys.shape}, expected {want}")
@@ -161,8 +152,8 @@ class MeasurementModel:
 class AnalyticMeasurementModel(MeasurementModel):
     """Measurement model carrying closed-form first and second derivatives.
 
-    ``jacobian(x)`` returns the (d, n) Jacobian and ``hessians(x)`` the
-    (d, n, n) stack of per-component Hessians.  Required by the baselines
+    At one state x (n,), ``jacobian(x)`` returns the (d, n) Jacobian and
+    ``hessians(x)`` the (d, n, n) stack of per-component Hessians.  Required by the baselines
     that linearize analytically (EKF, analytic EKF2, IEKF, RUF).
     """
 

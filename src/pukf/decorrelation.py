@@ -128,16 +128,13 @@ def decorrelate(
 def transform_model(model: MeasurementModel, rows: np.ndarray) -> MeasurementModel:
     """Mix a measurement model by a row block: y -> rows @ y.
 
-    The returned model's ``batch`` mixes the source's
-    :meth:`MeasurementModel.evaluate`, and its ``func`` is that map at one
-    point; it carries the mixed value and noise covariance.
+    The returned model's map is the source's :meth:`MeasurementModel.evaluate`
+    mixed by ``rows``; it carries the mixed value and noise covariance.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     evaluate = model.evaluate
-    mixed = lambda xs: evaluate(xs) @ rows.T  # noqa: E731
     return MeasurementModel(
-        func=lambda x: mixed(np.atleast_2d(x))[0],
+        func=lambda xs: evaluate(xs) @ rows.T,
         value=rows @ model.value,
         noise_cov=symmetrize(rows @ model.noise_cov @ rows.T),
-        batch=mixed,
     )

@@ -85,9 +85,10 @@ def linearize(
     Parameters
     ----------
     evaluate : callable
-        Map from (N, n) states to (N, d) values, typically
-        :meth:`MeasurementModel.evaluate`; called once, on all 1 + 2n +
-        n(n-1)/2 probes: mean, mean +- g_i and (mean + g_i) + g_j for i < j.
+        Vectorized map from (N, n) states to (N, d) values, typically
+        :meth:`MeasurementModel.evaluate` (the model's ``func``, shape
+        checked); called once, on all 1 + 2n + n(n-1)/2 probes: mean,
+        mean +- g_i and (mean + g_i) + g_j for i < j.
     mean : ndarray, shape (n,)
         Expansion point.
     sqrt_cov : ndarray, shape (n, n)

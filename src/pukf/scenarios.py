@@ -114,12 +114,7 @@ _POLY_HDIAG = np.array(
 _POLY_NOISE = np.eye(6) + 8.0 * np.ones((6, 6))
 
 
-def _poly_func(x):
-    x = np.asarray(x, dtype=float)
-    return _POLY_B @ x + 0.5 * (_POLY_HDIAG @ (x * x))
-
-
-def _poly_batch(xs):
+def _poly_map(xs):
     xs = np.asarray(xs, dtype=float)
     return xs @ _POLY_B.T + 0.5 * ((xs * xs) @ _POLY_HDIAG.T)
 
@@ -134,10 +129,9 @@ _POLY_HESSIANS = np.array([np.diag(row) for row in _POLY_HDIAG])
 def _poly_generator(truth, rng):
     noise = sample_gaussian(rng, _POLY_NOISE, 1)[0]
     return AnalyticMeasurementModel(
-        func=_poly_func,
-        value=_poly_func(truth) + noise,
+        func=_poly_map,
+        value=_poly_map(truth[None])[0] + noise,
         noise_cov=_POLY_NOISE,
-        batch=_poly_batch,
         jacobian=_poly_jacobian,
         hessians=lambda x: _POLY_HESSIANS,
     )
@@ -180,11 +174,7 @@ def _bearings_model(sensors: np.ndarray, noise_cov: np.ndarray, value: np.ndarra
     differences never jump across the cut.
     """
 
-    def func(x):
-        raw = _bearings_raw(x[None, :2], sensors)[0]
-        return value + wrap_angle(raw - value)
-
-    def batch(xs):
+    def func(xs):
         raw = _bearings_raw(np.asarray(xs)[:, :2], sensors)
         return value[None, :] + wrap_angle(raw - value[None, :])
 
@@ -214,7 +204,6 @@ def _bearings_model(sensors: np.ndarray, noise_cov: np.ndarray, value: np.ndarra
         func=func,
         value=value,
         noise_cov=noise_cov,
-        batch=batch,
         jacobian=jacobian,
         hessians=hessians,
     )

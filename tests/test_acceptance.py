@@ -50,9 +50,9 @@ def _random_quadratic(rng: np.random.Generator, n: int, d: int):
     hess = rng.normal(size=(d, n, n))
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
 
-    def func(x, _o=offset, _j=jac0, _h=hess):
-        x = np.asarray(x, dtype=float)
-        return _o + _j @ x + 0.5 * np.einsum("rab,a,b->r", _h, x, x)
+    def func(xs, _o=offset, _j=jac0, _h=hess):
+        xs = np.asarray(xs, dtype=float)
+        return _o + xs @ _j.T + 0.5 * np.einsum("rab,na,nb->nr", _h, xs, xs)
 
     def jacobian(x, _j=jac0, _h=hess):
         return _j + np.einsum("rab,b->ra", _h, np.asarray(x, dtype=float))
@@ -64,7 +64,7 @@ def _random_quadratic(rng: np.random.Generator, n: int, d: int):
     noise = a @ a.T + d * np.eye(d)
     g = rng.normal(size=(n, n))
     prior = GaussianState(rng.normal(size=n), g @ g.T + 0.5 * np.eye(n))
-    value = func(prior.mean) + rng.normal(size=d)
+    value = func(prior.mean[None])[0] + rng.normal(size=d)
     model = AnalyticMeasurementModel(
         func=func,
         value=value,
@@ -84,7 +84,7 @@ def _random_linear(rng: np.random.Generator, n: int, d: int):
     prior = GaussianState(rng.normal(size=n), g @ g.T + 0.5 * np.eye(n))
     value = H @ prior.mean + b + rng.normal(size=d)
     model = MeasurementModel(
-        func=lambda x, _H=H, _b=b: _H @ np.asarray(x, dtype=float) + _b,
+        func=lambda xs, _H=H, _b=b: np.asarray(xs, dtype=float) @ _H.T + _b,
         value=value,
         noise_cov=noise,
     )
@@ -111,9 +111,9 @@ def test_01_worked_example_goldens():
     t0 = time.perf_counter()
     prior = GaussianState(np.array([1.0]), np.array([[1.0]]))
 
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([x[0] ** 2 - 2.0 * x[0] - 4.0, -x[0] ** 2 + 1.5])
+    def func(xs):
+        x = np.asarray(xs, dtype=float)[:, :1]
+        return np.hstack([x**2 - 2.0 * x - 4.0, -(x**2) + 1.5])
 
     model = MeasurementModel(func=func, value=np.zeros(2), noise_cov=np.eye(2))
 
@@ -174,7 +174,7 @@ def test_02_second_order_posteriors_invariant_under_mixing():
         mixed_noise = 0.5 * (mixed_noise + mixed_noise.T)
         func, jac, hes = model.func, model.jacobian, model.hessians
         mixed_analytic = AnalyticMeasurementModel(
-            func=lambda x, _D=D, _f=func: _D @ _f(x),
+            func=lambda xs, _D=D, _f=func: _f(xs) @ _D.T,
             value=D @ model.value,
             noise_cov=mixed_noise,
             jacobian=lambda x, _D=D, _j=jac: _D @ _j(x),
@@ -190,7 +190,6 @@ def test_02_second_order_posteriors_invariant_under_mixing():
             func=mixed_num.func,
             value=mixed_num.value,
             noise_cov=0.5 * (mixed_num.noise_cov + mixed_num.noise_cov.T),
-            batch=mixed_num.batch,
         )
         base_n = ekf2_update_numerical(prior, model)
         mixed_n = ekf2_update_numerical(prior, mixed_num)
@@ -425,10 +424,9 @@ def test_08_particle_filter_matches_kalman_on_linear_step():
     value = np.array([0.9, -0.2])
 
     model = MeasurementModel(
-        func=lambda x: H @ np.asarray(x, dtype=float),
+        func=lambda xs: np.asarray(xs, dtype=float) @ H.T,
         value=value,
         noise_cov=R,
-        batch=lambda xs: np.asarray(xs, dtype=float) @ H.T,
     )
 
     predicted = GaussianState(F @ prior.mean, F @ prior.cov @ F.T + W)

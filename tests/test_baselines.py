@@ -23,12 +23,12 @@ from pukf import (
     unscented_transform,
 )
 
-from helpers import kalman_update, random_quadratic, random_spd
+from helpers import kalman_update, pointwise, random_quadratic, random_spd
 
 
 def linear_model(h_mat, noise, value):
     return AnalyticMeasurementModel(
-        func=lambda x: h_mat @ x,
+        func=lambda x: x @ h_mat.T,
         value=value,
         noise_cov=noise,
         jacobian=lambda x: h_mat,
@@ -39,7 +39,7 @@ def linear_model(h_mat, noise, value):
 def example_analytic_model(value=(1.0, -1.0)):
     # h(x) = (x^2 - 2x - 4, -x^2 + 3/2) with unit noise
     return AnalyticMeasurementModel(
-        func=lambda x: np.array([x[0] ** 2 - 2 * x[0] - 4, -x[0] ** 2 + 1.5]),
+        func=lambda xs: np.hstack([xs**2 - 2 * xs - 4, -(xs**2) + 1.5]),
         value=value,
         noise_cov=np.eye(2),
         jacobian=lambda x: np.array([[2 * x[0] - 2], [-2 * x[0]]]),
@@ -81,7 +81,7 @@ class TestEkf2Analytic:
             func, jac, hes = random_quadratic(rng, n, d)
             prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
             model = AnalyticMeasurementModel(
-                func=func,
+                func=pointwise(func),
                 value=rng.normal(size=d),
                 noise_cov=random_spd(rng, d),
                 jacobian=jac,
@@ -146,7 +146,7 @@ class TestUkfUpdate:
             post = ukf_update(
                 prior,
                 MeasurementModel(
-                    func=lambda x, h=h_mat: h @ x, value=value, noise_cov=noise
+                    func=lambda x, h=h_mat: x @ h.T, value=value, noise_cov=noise
                 ),
             )
             want_mean, want_cov = kalman_update(
@@ -162,16 +162,15 @@ class TestUkfUpdate:
             calls.append(1)
             return np.array([x[0] ** 2 + x[1], np.sin(x[1])])
 
-        fields = dict(func=func, value=[0.5, 0.1], noise_cov=np.eye(2))
-        batched = MeasurementModel(
+        fields = dict(value=[0.5, 0.1], noise_cov=np.eye(2))
+        vectorized = MeasurementModel(
+            func=lambda xs: np.stack([xs[:, 0] ** 2 + xs[:, 1], np.sin(xs[:, 1])], 1),
             **fields,
-            batch=lambda xs: np.stack([xs[:, 0] ** 2 + xs[:, 1], np.sin(xs[:, 1])], 1),
         )
         prior = GaussianState([0.3, -0.2], [[1.0, 0.2], [0.2, 0.5]])
-        looped = ukf_update(prior, MeasurementModel(**fields))
+        looped = ukf_update(prior, MeasurementModel(func=pointwise(func), **fields))
         assert len(calls) == 2 * 2 + 1
-        want = ukf_update(prior, batched)
-        assert len(calls) == 2 * 2 + 1  # the batch path does not call func
+        want = ukf_update(prior, vectorized)
         np.testing.assert_allclose(looped.mean, want.mean, atol=1e-12)
         np.testing.assert_allclose(looped.cov, want.cov, atol=1e-12)
 
@@ -204,7 +203,7 @@ class TestIekfUpdate:
         prior = GaussianState([1.0], [[1.0]])
         noise = 0.01
         model = AnalyticMeasurementModel(
-            func=lambda x: np.array([x[0] ** 2]),
+            func=lambda xs: xs**2,
             value=[4.0],
             noise_cov=[[noise]],
             jacobian=lambda x: np.array([[2 * x[0]]]),
@@ -336,7 +335,7 @@ class TestLogLikelihood:
         noise = random_spd(rng, 2)
         value = rng.normal(size=2)
         model = MeasurementModel(
-            func=lambda x: h_mat @ x, value=value, noise_cov=noise
+            func=lambda x: x @ h_mat.T, value=value, noise_cov=noise
         )
         particles = rng.normal(size=(40, 3))
         got = log_likelihood(model, particles)
@@ -348,12 +347,11 @@ class TestLogLikelihood:
     def test_batch_path_matches_loop_path(self):
         rng = np.random.default_rng(14)
         func = lambda x: np.array([x[0] ** 2 + x[1], x[1] ** 3])
-        looped = MeasurementModel(func=func, value=[1.0, 2.0], noise_cov=np.eye(2))
+        fields = dict(value=[1.0, 2.0], noise_cov=np.eye(2))
+        looped = MeasurementModel(func=pointwise(func), **fields)
         batched = MeasurementModel(
-            func=func,
-            value=[1.0, 2.0],
-            noise_cov=np.eye(2),
-            batch=lambda xs: np.stack([xs[:, 0] ** 2 + xs[:, 1], xs[:, 1] ** 3], axis=1),
+            func=lambda xs: np.stack([xs[:, 0] ** 2 + xs[:, 1], xs[:, 1] ** 3], axis=1),
+            **fields,
         )
         particles = rng.normal(size=(25, 2))
         np.testing.assert_allclose(
@@ -369,7 +367,7 @@ class TestLogLikelihood:
             calls.append(1)
             return np.array([x[0] - x[1]])
 
-        model = MeasurementModel(func=func, value=[0.2], noise_cov=[[0.5]])
+        model = MeasurementModel(func=pointwise(func), value=[0.2], noise_cov=[[0.5]])
         particles = np.random.default_rng(16).normal(size=(30, 2))
         got = log_likelihood(model, particles)
         assert len(calls) == 30
@@ -389,7 +387,7 @@ class TestBootstrapPfStep:
 
         prior = GaussianState([0.0, 0.0], np.eye(2))
         state_model = LinearStateModel(transition=f_mat, noise_cov=w)
-        model = MeasurementModel(func=lambda x: h_mat @ x, value=value, noise_cov=r)
+        model = MeasurementModel(func=lambda x: x @ h_mat.T, value=value, noise_cov=r)
 
         pred_mean = f_mat @ prior.mean
         pred_cov = f_mat @ prior.cov @ f_mat.T + w
@@ -409,7 +407,9 @@ class TestBootstrapPfStep:
         cloud = ParticleCloud.uniform(rng.normal(size=(50, 1)))
         state_model = LinearStateModel(transition=np.eye(1), noise_cov=np.eye(1))
         broken = MeasurementModel(
-            func=lambda x: np.array([np.inf]), value=[0.0], noise_cov=np.eye(1)
+            func=lambda xs: np.full((len(xs), 1), np.inf),
+            value=[0.0],
+            noise_cov=np.eye(1),
         )
         out = bootstrap_pf_step(cloud, state_model, broken, rng)
         assert out.degenerate

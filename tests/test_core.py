@@ -133,35 +133,20 @@ class TestMeasurementModel:
         assert m.dim == 1
         np.testing.assert_array_equal(m.value, [1.0])
 
-    def test_evaluate_calls_batch_once_or_func_per_row(self):
-        calls = []
-
-        def func(x):
-            calls.append("func")
-            return np.array([x[0] * x[1], x[0] - x[1]])
-
-        def batch(xs):
-            calls.append("batch")
-            return np.stack([xs[:, 0] * xs[:, 1], xs[:, 0] - xs[:, 1]], axis=1)
-
-        xs = np.random.default_rng(1).normal(size=(5, 2))
-        looped = MeasurementModel(func=func, value=[0.0, 0.0], noise_cov=np.eye(2))
-        batched = MeasurementModel(
-            func=func, value=[0.0, 0.0], noise_cov=np.eye(2), batch=batch
-        )
-        np.testing.assert_array_equal(looped.evaluate(xs), batched.evaluate(xs))
-        assert calls == ["func"] * 5 + ["batch"]
-
-    def test_evaluate_rejects_a_wrong_shape_on_either_path(self):
-        xs = np.zeros((4, 2))
-        for fields in (
-            dict(func=lambda x: np.zeros(3)),
-            dict(func=lambda x: np.zeros(2), batch=lambda xs: np.zeros((4, 1))),
-            dict(func=lambda x: np.zeros(2), batch=lambda xs: np.zeros(4)),
+    def test_evaluate_rejects_a_wrong_shape(self):
+        xs = np.arange(8.0).reshape(4, 2)
+        fields = dict(value=[0.0, 0.0], noise_cov=np.eye(2))
+        model = MeasurementModel(func=lambda xs: xs[:, ::-1], **fields)
+        np.testing.assert_array_equal(model.evaluate(xs), xs[:, ::-1])
+        for func in (
+            lambda xs: np.zeros((4, 3)),
+            lambda xs: np.zeros((4, 1)),
+            lambda xs: np.zeros(4),
+            # a per-point map: on (4, 2) states it returns (2, 2)
+            lambda x: np.array([x[0] * x[1], x[0] - x[1]]),
         ):
-            model = MeasurementModel(value=[0.0, 0.0], noise_cov=np.eye(2), **fields)
             with pytest.raises(ValueError, match="shape"):
-                model.evaluate(xs)
+                MeasurementModel(func=func, **fields).evaluate(xs)
 
 
 class TestLinearStateModel:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -95,15 +97,22 @@ class TestDecorrelate:
                 dec.lambdas, expected, rtol=1e-6, atol=1e-8 * expected.max()
             )
 
-    def test_conservation_of_total_nonlinearity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            d = int(rng.integers(1, 6))
-            xi_mat = random_spd(rng, d)
-            noise = random_spd(rng, d)
-            dec = decorrelate(xi_mat, matrix_sqrt(noise), threshold=1.0)
-            total = nonlinearity(xi_mat, noise)
-            assert dec.lambdas.sum() == pytest.approx(total, rel=1e-8)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_conservation_of_total_nonlinearity(self, d, seed):
+        # tr(inv(R) Xi) is what decorrelate spreads over its eigenvalues,
+        # and it does not depend on how the measurement is mixed
+        rng = np.random.default_rng(seed)
+        xi_mat = random_spd(rng, d)
+        noise = random_spd(rng, d)
+        dec = decorrelate(xi_mat, matrix_sqrt(noise), threshold=1.0)
+        total = nonlinearity(xi_mat, noise)
+        assert dec.lambdas.sum() == pytest.approx(total, rel=1e-8)
+        mix = rng.normal(size=(d, d))
+        while np.linalg.cond(mix) > 1e2:
+            mix = rng.normal(size=(d, d))
+        mixed = nonlinearity(mix @ xi_mat @ mix.T, mix @ noise @ mix.T)
+        assert mixed == pytest.approx(total, rel=1e-8)
 
     def test_threshold_extremes(self):
         rng = np.random.default_rng(17)
@@ -131,10 +140,12 @@ class TestDecorrelate:
 class TestTransformModel:
     def test_identity_transform_is_noop(self):
         func, _, _ = example_linearization()
-        model = MeasurementModel(func=func, value=[1.0, 2.0], noise_cov=np.eye(2))
+        model = MeasurementModel(
+            func=pointwise(func), value=[1.0, 2.0], noise_cov=np.eye(2)
+        )
         same = transform_model(model, np.eye(2))
-        x = np.array([0.3])
-        np.testing.assert_allclose(same.func(x), model.func(x))
+        xs = np.array([[0.3], [-1.2]])
+        np.testing.assert_allclose(same.func(xs), model.func(xs))
         np.testing.assert_allclose(same.value, model.value)
         np.testing.assert_allclose(same.noise_cov, model.noise_cov)
 
@@ -144,33 +155,26 @@ class TestTransformModel:
         #   sqrt2 (x^2 - x - 11/4)  (all the curvature)
         func, prior, lin = example_linearization()
         dec = decorrelate(lin.Xi, matrix_sqrt(np.eye(2)), threshold=1.0)
-        model = MeasurementModel(func=func, value=[1.0, -1.0], noise_cov=np.eye(2))
+        model = MeasurementModel(
+            func=pointwise(func), value=[1.0, -1.0], noise_cov=np.eye(2)
+        )
         mixed = transform_model(model, dec.D)
-        for x in (np.array([-1.0]), np.array([0.5]), np.array([2.0])):
-            got = mixed.func(x)
-            want = np.array(
-                [
-                    SQRT2 * (-x[0] - 1.25),
-                    SQRT2 * (x[0] ** 2 - x[0] - 2.75),
-                ]
-            )
-            np.testing.assert_allclose(got, want, atol=1e-10)
+        x = np.array([-1.0, 0.5, 2.0])
+        want = np.stack([SQRT2 * (-x - 1.25), SQRT2 * (x**2 - x - 2.75)], axis=1)
+        np.testing.assert_allclose(mixed.func(x[:, None]), want, atol=1e-10)
         np.testing.assert_allclose(mixed.noise_cov, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(mixed.value, dec.D @ [1.0, -1.0])
 
-    def test_row_subset_and_batch(self):
+    def test_row_subset(self):
         rng = np.random.default_rng(23)
         func, _, _ = random_quadratic(rng, 2, 3)
         model = MeasurementModel(
-            func=func,
-            value=rng.normal(size=3),
-            noise_cov=random_spd(rng, 3),
-            batch=lambda xs: np.array([func(x) for x in xs]),
+            func=pointwise(func), value=rng.normal(size=3), noise_cov=random_spd(rng, 3)
         )
         rows = rng.normal(size=(2, 3))
         mixed = transform_model(model, rows)
         assert mixed.dim == 2
-        xs = rng.normal(size=(4, 2))
+        np.testing.assert_allclose(mixed.value, rows @ model.value, atol=1e-12)
         np.testing.assert_allclose(
-            mixed.batch(xs), np.array([rows @ func(x) for x in xs]), atol=1e-12
+            mixed.noise_cov, rows @ model.noise_cov @ rows.T, atol=1e-12
         )

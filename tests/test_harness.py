@@ -23,7 +23,7 @@ from pukf import (
 from pukf.cli import main as cli_main
 from pukf.harness import _report_csv
 
-from helpers import kalman_update, random_spd
+from helpers import kalman_update, pointwise, random_spd
 
 
 def linear_scenario(steps=5):
@@ -38,10 +38,9 @@ def linear_scenario(steps=5):
     def generator(truth, rng):
         value = h_mat @ truth + rng.multivariate_normal(np.zeros(d), noise)
         return AnalyticMeasurementModel(
-            func=lambda x: h_mat @ x,
+            func=lambda x: x @ h_mat.T,
             value=value,
             noise_cov=noise,
-            batch=lambda xs: xs @ h_mat.T,
             jacobian=lambda x: h_mat,
             hessians=lambda x: np.zeros((d, n, n)),
         )
@@ -57,8 +56,7 @@ def linear_scenario(steps=5):
 
 def replace_model(spec, from_step, **fields):
     """``spec`` with ``fields`` of its measurement models replaced from
-    ``from_step`` on (pass ``batch=None`` with a new ``func`` so the
-    probe, sigma-point and particle filters evaluate it too)."""
+    ``from_step`` on."""
     steps_seen = itertools.count()
 
     def generator(truth, rng):
@@ -196,7 +194,7 @@ class TestRunCampaign:
 
     def test_wrong_shape_is_not_a_divergence(self):
         spec, h_mat, *_ = linear_scenario(steps=2)
-        spec = replace_model(spec, 0, func=lambda x: np.append(h_mat @ x, 0.0), batch=None)
+        spec = replace_model(spec, 0, func=pointwise(lambda x: np.append(h_mat @ x, 0.0)))
         cfg = CampaignConfig(
             scenario="polynomial", filters=("pukf@1", "ekf2n"), runs=2, steps=2
         )
@@ -208,14 +206,14 @@ class TestRunCampaign:
         # (N, 1) would broadcast against the 2-vector measurement; every
         # consumer of the vectorized map must refuse it, not diverge on it.
         spec, h_mat, *_ = linear_scenario(steps=2)
-        spec = replace_model(spec, 0, batch=lambda xs: (xs @ h_mat.T)[:, :1])
+        spec = replace_model(spec, 0, func=lambda xs: (xs @ h_mat.T)[:, :1])
         cfg = CampaignConfig(scenario="polynomial", filters=(label,), runs=1, steps=2)
         with pytest.raises(ValueError, match="shape"):
             run_campaign(cfg, scenario_spec=spec)
 
     def test_non_finite_measurement_is_a_divergence(self):
         spec, *_ = linear_scenario(steps=4)
-        spec = replace_model(spec, 2, func=lambda x: np.full(2, np.nan), batch=None)
+        spec = replace_model(spec, 2, func=lambda xs: np.full((len(xs), 2), np.nan))
         filters = (
             "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
             "pf@200",

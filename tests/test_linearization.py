@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -91,20 +89,19 @@ class TestLinearize:
         for n in (1, 2, 3, 5):
             calls = []
 
-            def counted(x):
-                calls.append(np.array(x))
-                return np.array([float(np.sum(x**2)), float(np.sum(x))])
+            def counted(xs):
+                calls.append(np.array(xs))
+                return np.stack([np.sum(xs**2, axis=1), np.sum(xs, axis=1)], axis=1)
 
             model = MeasurementModel(func=counted, value=[0, 0], noise_cov=np.eye(2))
             linearize(model.evaluate, np.zeros(n), np.eye(n))
-            assert len(calls) == 1 + 2 * n + n * (n - 1) // 2
+            assert [c.shape for c in calls] == [(1 + 2 * n + n * (n - 1) // 2, n)]
 
     def test_nonfinite_batch_raises(self):
         model = MeasurementModel(
-            func=lambda x: np.ones(2),
+            func=lambda xs: np.where(xs[:, :1] > 0.5, np.nan, 1.0) * np.ones((1, 2)),
             value=[0.0, 0.0],
             noise_cov=np.eye(2),
-            batch=lambda xs: np.where(xs[:, :1] > 0.5, np.nan, 1.0) * np.ones((1, 2)),
         )
         with pytest.raises(NonFiniteEvaluation):
             linearize(model.evaluate, np.zeros(2), np.eye(2))
@@ -123,70 +120,6 @@ class TestLinearize:
                 linearize(lambda xs: xs, np.zeros(1), np.eye(1), gamma=gamma)
 
 
-def quadratic_maps(rng, n, d):
-    """A random quadratic a + sum_i b_i x_i + sum_ij c_ij x_i x_j / 2 in
-    elementwise operations only, as a per-point map and a batch map.
-
-    A reduction such as ``sum(axis=(-2, -1))`` may add in a different order
-    for (N, ...) than for one point, so the two maps would not round alike.
-    """
-    a = rng.normal(size=d)
-    b = rng.normal(size=(d, n))
-    c = rng.normal(size=(d, n, n))
-
-    def h(x):  # (n,) -> (d,) and (N, n) -> (N, d)
-        y = a
-        for i in range(n):
-            xi = x[..., i, None]
-            y = y + b[:, i] * xi
-            for j in range(n):
-                y = y + 0.5 * c[:, i, j] * xi * x[..., j, None]
-        return y
-
-    return h, h
-
-
-def bearings_maps(rng, n, d):
-    """Bearings of the state's first two coordinates from d random sensors."""
-    sensors = rng.normal(scale=5.0, size=(d, 2))
-
-    def func(x):
-        return np.arctan2(x[1] - sensors[:, 1], x[0] - sensors[:, 0])
-
-    def batch(xs):
-        return np.arctan2(
-            xs[:, 1:2] - sensors[None, :, 1], xs[:, 0:1] - sensors[None, :, 0]
-        )
-
-    return func, batch
-
-
-class TestBatchAndLoopAgree:
-    """One stencil, two evaluation paths: a model's ``batch`` and the loop
-    over its ``func`` hand ``linearize`` the same values, so every summary
-    field is bit-for-bit the same."""
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(
-        n=st.integers(2, 4),
-        d=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-        maps=st.sampled_from([quadratic_maps, bearings_maps]),
-    )
-    def test_same_summary_bit_for_bit(self, n, d, seed, maps):
-        rng = np.random.default_rng(seed)
-        func, batch = maps(rng, n, d)
-        fields = dict(func=func, value=np.zeros(d), noise_cov=np.eye(d))
-        looped = MeasurementModel(**fields)
-        batched = MeasurementModel(**fields, batch=batch)
-        mean = rng.normal(size=n)
-        sqrt_p = matrix_sqrt(random_spd(rng, n))
-        want = linearize(looped.evaluate, mean, sqrt_p)
-        got = linearize(batched.evaluate, mean, sqrt_p)
-        for name in ("M", "Q", "xi", "Xi", "h_at_mean"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
 class TestEkf2Update:
     def test_linear_scalar_posterior(self):
         # h(x) = x, prior N(0,1), R = 1, y = 0: posterior N(0, 1/2)
@@ -199,7 +132,7 @@ class TestEkf2Update:
     def test_transformed_first_element_of_example(self):
         # hhat(x) = sqrt2 (-x - 5/4), prior N(1,1), unit noise, value 0.
         # Hand Kalman algebra: S = 3, K = -sqrt2/3 -> posterior N(-1/2, 1/3).
-        func = lambda x: np.array([np.sqrt(2.0) * (-x[0] - 1.25)])
+        func = lambda xs: np.sqrt(2.0) * (-xs - 1.25)
         model = MeasurementModel(func=func, value=[0.0], noise_cov=[[1.0]])
         post = ekf2_update_numerical(EXAMPLE_PRIOR, model)
         np.testing.assert_allclose(post.mean, [-0.5], atol=1e-10)
@@ -210,8 +143,8 @@ class TestEkf2Update:
         # innovation variance is Var(x^2) + R = 2 + 1 = 3, but the gain is
         # zero because the map has no odd component, so the update is a no-op.
         prior = GaussianState([0.0], [[1.0]])
-        func = lambda x: np.array([x[0] ** 2])
-        lin = linearize(pointwise(func), prior.mean, matrix_sqrt(prior.cov))
+        func = lambda xs: xs**2
+        lin = linearize(func, prior.mean, matrix_sqrt(prior.cov))
         yhat = lin.h_at_mean + 0.5 * lin.xi
         s = lin.M @ lin.M.T + 0.5 * lin.Xi + np.eye(1)
         np.testing.assert_allclose(yhat, [1.0], atol=1e-12)
@@ -232,7 +165,7 @@ class TestEkf2Update:
             noise = random_spd(rng, d)
             value = rng.normal(size=d)
             model = AnalyticMeasurementModel(
-                func=func, value=value, noise_cov=noise,
+                func=pointwise(func), value=value, noise_cov=noise,
                 jacobian=jacobian, hessians=hessians,
             )
             lin = linearize(pointwise(func), prior.mean, matrix_sqrt(prior.cov))
@@ -257,9 +190,9 @@ class TestEkf2Update:
             noise = random_spd(rng, d)
             value = rng.normal(size=d)
             mix = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
-            base = MeasurementModel(func=func, value=value, noise_cov=noise)
+            base = MeasurementModel(func=pointwise(func), value=value, noise_cov=noise)
             mixed = MeasurementModel(
-                func=lambda x, f=func, m=mix: m @ f(x),
+                func=pointwise(lambda x, f=func, m=mix: m @ f(x)),
                 value=mix @ value,
                 noise_cov=mix @ noise @ mix.T,
             )

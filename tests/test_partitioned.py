@@ -21,7 +21,7 @@ from helpers import kalman_update, pointwise, random_quadratic, random_spd
 
 def example_model(value=(1.0, -1.0)):
     func = lambda x: np.array([x[0] ** 2 - 2 * x[0] - 4, -x[0] ** 2 + 1.5])
-    return MeasurementModel(func=func, value=value, noise_cov=np.eye(2))
+    return MeasurementModel(func=pointwise(func), value=value, noise_cov=np.eye(2))
 
 
 def reference_partitioned(prior, model, threshold):
@@ -41,7 +41,7 @@ def reference_partitioned(prior, model, threshold):
     while value.size:
         d = value.size
         sqrt_cov = np.linalg.cholesky(cov)
-        lin = linearize(pointwise(func), mean, sqrt_cov)
+        lin = linearize(func, mean, sqrt_cov)
         sqrt_noise = np.linalg.cholesky(noise)
         white = scipy.linalg.solve_triangular(sqrt_noise, lin.Xi, lower=True)
         white = scipy.linalg.solve_triangular(sqrt_noise, white.T, lower=True).T
@@ -63,7 +63,7 @@ def reference_partitioned(prior, model, threshold):
         tail = d_mat[k_split:]
         value = tail @ value
         prev = func
-        func = (lambda rows, g: (lambda x: rows @ g(x)))(tail, prev)
+        func = (lambda rows, g: (lambda xs: g(xs) @ rows.T))(tail, prev)
         noise = np.eye(d - k_split)
     return GaussianState(mean, cov), rounds
 
@@ -76,35 +76,38 @@ def assert_rounds_match(trace, ref):
 
 
 class TestPukfUpdate:
-    def test_linear_model_matches_kalman_for_any_threshold(self):
-        rng = np.random.default_rng(0)
-        for threshold in (-np.inf, -1.0, 0.0, 0.5, 1.0, 100.0, np.inf):
-            n, d = 3, 4
-            h_mat = rng.normal(size=(d, n))
-            noise = random_spd(rng, d)
-            value = rng.normal(size=d)
-            prior = GaussianState(rng.normal(size=n), random_spd(rng, n, scale=2.0))
-            model = MeasurementModel(
-                func=lambda x, h=h_mat: h @ x, value=value, noise_cov=noise
-            )
-            post, trace = pukf_update(prior, model, PukfConfig(threshold=threshold))
-            want_mean, want_cov = kalman_update(
-                prior.mean, prior.cov, h_mat, noise, value
-            )
-            np.testing.assert_allclose(post.mean, want_mean, atol=1e-9)
-            np.testing.assert_allclose(post.cov, want_cov, atol=1e-9)
-            # roundoff leaves eigenvalues ~1e-32, so only a clearly positive
-            # threshold is guaranteed to take all rows in one round
-            if threshold >= 0.5:
-                assert trace.n_rounds == 1
-                assert trace.split_sizes == (d,)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([-np.inf, 0.1, 1.0, np.inf]),
+    )
+    def test_linear_model_matches_kalman_for_any_threshold(self, n, d, seed, threshold):
+        rng = np.random.default_rng(seed)
+        h_mat = rng.normal(size=(d, n))
+        noise = random_spd(rng, d)
+        value = rng.normal(size=d)
+        prior = GaussianState(rng.normal(size=n), random_spd(rng, n, scale=2.0))
+        model = MeasurementModel(
+            func=lambda x: x @ h_mat.T, value=value, noise_cov=noise
+        )
+        post, trace = pukf_update(prior, model, PukfConfig(threshold=threshold))
+        want_mean, want_cov = kalman_update(prior.mean, prior.cov, h_mat, noise, value)
+        np.testing.assert_allclose(post.mean, want_mean, atol=1e-9)
+        np.testing.assert_allclose(post.cov, want_cov, atol=1e-9)
+        # roundoff leaves eigenvalues ~1e-32, so a clearly positive
+        # threshold takes all rows in one round
+        if threshold > 0.0:
+            assert trace.n_rounds == 1
+            assert trace.split_sizes == (d,)
 
     def test_infinite_threshold_is_single_full_update(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             n = int(rng.integers(1, 4))
             d = int(rng.integers(1, 4))
-            func, _, _ = random_quadratic(rng, n, d)
+            func = pointwise(random_quadratic(rng, n, d)[0])
             prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
             model = MeasurementModel(
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
@@ -147,7 +150,7 @@ class TestPukfUpdate:
         for _ in range(40):
             n = int(rng.integers(1, 4))
             d = int(rng.integers(1, 5))
-            func, _, _ = random_quadratic(rng, n, d, curvature=0.4)
+            func = pointwise(random_quadratic(rng, n, d, curvature=0.4)[0])
             prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
             model = MeasurementModel(
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
@@ -165,7 +168,7 @@ class TestPukfUpdate:
         for _ in range(40):
             n = int(rng.integers(1, 4))
             d = int(rng.integers(1, 5))
-            func, _, _ = random_quadratic(rng, n, d, curvature=0.5)
+            func = pointwise(random_quadratic(rng, n, d, curvature=0.5)[0])
             prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
             model = MeasurementModel(
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
@@ -182,7 +185,7 @@ class TestPukfUpdate:
 
     def test_round_count_extremes(self):
         rng = np.random.default_rng(4)
-        func, _, _ = random_quadratic(rng, 2, 5, curvature=0.5)
+        func = pointwise(random_quadratic(rng, 2, 5, curvature=0.5)[0])
         prior = GaussianState(rng.normal(size=2), random_spd(rng, 2))
         model = MeasurementModel(
             func=func, value=rng.normal(size=5), noise_cov=random_spd(rng, 5)
@@ -193,18 +196,23 @@ class TestPukfUpdate:
         assert one_by_one.split_sizes == (1, 1, 1, 1, 1)
 
     def test_scalar_valued_function(self):
+        # a scalar measurement is one column: (N, 1), as the per-point map
+        # wrapped by ``pointwise`` gives it; a flat (N,) map is rejected
         prior = GaussianState([0.5, -0.2], [[1.0, 0.3], [0.3, 0.8]])
-        scalar = MeasurementModel(
-            func=lambda x: x[0] ** 2 + x[1], value=[0.7], noise_cov=[[0.5]]
+        fields = dict(value=[0.7], noise_cov=[[0.5]])
+        scalar = MeasurementModel(func=pointwise(lambda x: x[0] ** 2 + x[1]), **fields)
+        column = MeasurementModel(
+            func=lambda xs: (xs[:, 0] ** 2 + xs[:, 1])[:, None], **fields
         )
-        vector = MeasurementModel(
-            func=lambda x: np.array([x[0] ** 2 + x[1]]), value=[0.7], noise_cov=[[0.5]]
-        )
+        flat = MeasurementModel(func=lambda xs: xs[:, 0] ** 2 + xs[:, 1], **fields)
         for threshold in (-np.inf, np.inf):
-            got, _ = pukf_update(prior, scalar, PukfConfig(threshold=threshold))
-            want, _ = pukf_update(prior, vector, PukfConfig(threshold=threshold))
+            cfg = PukfConfig(threshold=threshold)
+            got, _ = pukf_update(prior, scalar, cfg)
+            want, _ = pukf_update(prior, column, cfg)
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
+            with pytest.raises(ValueError, match="shape"):
+                pukf_update(prior, flat, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -229,7 +237,7 @@ class TestMixingInvariance:
     )
     def test_posterior_invariant_under_mixing(self, n, d, seed, threshold):
         rng = np.random.default_rng(seed)
-        func, _, _ = random_quadratic(rng, n, d, curvature=0.5)
+        func = pointwise(random_quadratic(rng, n, d, curvature=0.5)[0])
         prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
         model = MeasurementModel(
             func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
@@ -259,7 +267,7 @@ class TestRoundInvariants:
     )
     def test_blocks_sum_to_d_and_rounds_stay_psd(self, n, d, seed, threshold):
         rng = np.random.default_rng(seed)
-        func, _, _ = random_quadratic(rng, n, d, curvature=0.5)
+        func = pointwise(random_quadratic(rng, n, d, curvature=0.5)[0])
         prior = GaussianState(rng.normal(size=n), random_spd(rng, n))
         model = MeasurementModel(
             func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
@@ -287,7 +295,7 @@ class TestPukfStep:
 
         state_model = LinearStateModel(transition=f_mat, noise_cov=w)
         measurement = MeasurementModel(
-            func=lambda x: h_mat @ x, value=value, noise_cov=r
+            func=lambda x: x @ h_mat.T, value=value, noise_cov=r
         )
         post, _ = pukf_update(
             state_model.predict(prior), measurement, PukfConfig(threshold=1.0)
@@ -315,7 +323,7 @@ class TestPukfStep:
         f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
         w = 0.05 * np.eye(n)
         state_model = LinearStateModel(transition=f_mat, noise_cov=w)
-        func, _, _ = random_quadratic(rng, n, d, curvature=0.3)
+        func = pointwise(random_quadratic(rng, n, d, curvature=0.3)[0])
         cfg = PukfConfig(threshold=0.5)
 
         state = GaussianState(rng.normal(size=n), random_spd(rng, n))

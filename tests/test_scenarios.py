@@ -18,6 +18,11 @@ from pukf import (
 )
 
 
+def at_point(func):
+    """A vectorized (N, n) -> (N, d) map as a map of one state (n,) -> (d,)."""
+    return lambda x: func(np.asarray(x, dtype=float)[None])[0]
+
+
 def fd_jacobian(func, x, eps=1e-6):
     x = np.asarray(x, dtype=float)
     cols = []
@@ -87,12 +92,12 @@ class TestPolynomialScenario:
         np.testing.assert_allclose(self.spec.state_model.noise_cov, 16.0 * np.eye(3))
 
     def test_zero_maps_to_zero(self):
-        np.testing.assert_allclose(self.model.func(np.zeros(3)), 0.0, atol=1e-14)
+        np.testing.assert_allclose(self.model.func(np.zeros((1, 3))), 0.0, atol=1e-14)
 
     def test_coefficients_recovered_by_probing(self):
         # probe out the linear and pure-quadratic coefficient columns,
         # then confirm they explain the function everywhere
-        func = self.model.func
+        func = at_point(self.model.func)
         h0 = func(np.zeros(3))
         lin_cols, quad_cols = [], []
         for j in range(3):
@@ -116,7 +121,7 @@ class TestPolynomialScenario:
         # probing out the coefficient matrix as in
         # test_coefficients_recovered_by_probing: noise = coeffs @ coeffs.T,
         # so the separable basis carries exactly unit independent noise
-        func = self.model.func
+        func = at_point(self.model.func)
         h0 = func(np.zeros(3))
         cols = []
         for j in range(3):
@@ -135,23 +140,15 @@ class TestPolynomialScenario:
 
     def test_analytic_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(2)
+        func = at_point(self.model.func)
         for _ in range(5):
             x = rng.normal(scale=2.0, size=3)
             np.testing.assert_allclose(
-                self.model.jacobian(x), fd_jacobian(self.model.func, x), atol=1e-5
+                self.model.jacobian(x), fd_jacobian(func, x), atol=1e-5
             )
             np.testing.assert_allclose(
-                self.model.hessians(x), fd_hessians(self.model.func, x), atol=1e-4
+                self.model.hessians(x), fd_hessians(func, x), atol=1e-4
             )
-
-    def test_batch_matches_loop(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(
-            self.model.batch(xs),
-            np.array([self.model.func(x) for x in xs]),
-            atol=1e-12,
-        )
 
     def test_three_linear_directions_at_prior(self):
         # at the prior, decorrelation exposes three exactly linear
@@ -203,7 +200,7 @@ class TestBearingsScenarios:
         rng = np.random.default_rng(4)
         truth = np.array([1.0, 0.0, 0.0, 0.0])
         model = spec.measurement_generator(truth, rng)
-        predicted = model.func(truth)
+        predicted = model.func(truth[None])[0]
         # func realigns to the drawn value's branch; geometry is exact
         assert wrap_angle(predicted[0]) == pytest.approx(0.0, abs=1e-12)
         assert wrap_angle(predicted[1]) == pytest.approx(math.pi / 2.0, abs=1e-12)
@@ -216,7 +213,7 @@ class TestBearingsScenarios:
         raw = []
         for _ in range(100_000):
             model = spec.measurement_generator(truth, rng)
-            raw.append(model.value - model.func(truth))
+            raw.append(model.value - model.func(truth[None])[0])
         raw = np.array(raw)
         np.testing.assert_allclose(raw.mean(axis=0), 0.0, atol=4 * sigma / math.sqrt(raw.shape[0]) * 10)
         np.testing.assert_allclose(raw.std(axis=0), sigma, rtol=0.02)
@@ -233,7 +230,7 @@ class TestBearingsScenarios:
         rng = np.random.default_rng(11)
         for _ in range(200):
             model = spec.measurement_generator(truth, rng)
-            residual = model.value - model.func(truth)
+            residual = model.value - model.func(truth[None])[0]
             assert abs(residual[0]) < 0.5
 
     def test_analytic_derivatives_match_finite_differences(self):
@@ -247,10 +244,10 @@ class TestBearingsScenarios:
             model = spec.measurement_generator(truth, rng)
             x = truth + rng.normal(scale=0.1, size=4)
             np.testing.assert_allclose(
-                model.jacobian(x), fd_jacobian(model.func, x), atol=1e-5
+                model.jacobian(x), fd_jacobian(at_point(model.func), x), atol=1e-5
             )
             np.testing.assert_allclose(
-                model.hessians(x), fd_hessians(model.func, x), atol=1e-3
+                model.hessians(x), fd_hessians(at_point(model.func), x), atol=1e-3
             )
 
     def test_velocity_rows_are_zero(self):
