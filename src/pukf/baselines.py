@@ -290,7 +290,7 @@ def weight_particles(
     """
     particles = propagate_particles(cloud.particles, state_model, rng)
     logw = log_likelihood(model, particles)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore"):  # a zero weight's log is -inf
         logw = logw + np.log(cloud.weights)
     finite = np.isfinite(logw)
     if not np.any(finite):

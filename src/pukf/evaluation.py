@@ -4,6 +4,8 @@ Three views of estimate quality: raw error quantiles across Monte Carlo
 runs, empirical coverage of the filter's own confidence ellipsoids, and a
 gridded KL divergence from a dense particle reference to the filter's
 Gaussian, which penalizes both misplaced and overconfident posteriors.
+The last two are closed forms: the chi-squared CDF ``scipy.special.chdtr``
+and the bivariate normal density, written out in scipy's order of operations.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import chi2, multivariate_normal
+from scipy.special import chdtr
 
 from .baselines import ParticleCloud
 from .core import GaussianState
@@ -84,7 +86,7 @@ def ellipsoid_coverage(
             "estimate covariance cannot be factorized for a Mahalanobis norm"
         ) from None
     m2 = float(diff @ scipy.linalg.cho_solve((c, low), diff))
-    level = chi2.cdf(m2, df=estimate.dim)
+    level = chdtr(estimate.dim, max(m2, 0.0))
     return np.array([level < p for p in probs])
 
 
@@ -152,7 +154,8 @@ def kl_divergence_mass(mass: np.ndarray, approx: GaussianState, grid: Grid2D) ->
     Gaussian mass is the marginal density (over the position plane) at the
     cell midpoint times the cell area, floored at 1e-300.  Cells with no
     reference mass contribute zero.  Returns +inf when the approximation
-    is non-finite or its marginal covariance is singular.
+    is non-finite or its marginal covariance is singular: its smallest
+    eigenvalue is at most 1e6 * eps times its largest in magnitude.
     """
     marg_mean = approx.mean[_PLANE]
     marg_cov = approx.cov[np.ix_(_PLANE, _PLANE)]
@@ -160,11 +163,13 @@ def kl_divergence_mass(mass: np.ndarray, approx: GaussianState, grid: Grid2D) ->
         return float("inf")
     mx, my = grid.midpoints()
     points = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1).reshape(-1, 2)
-    try:
-        density = multivariate_normal.pdf(points, mean=marg_mean, cov=marg_cov)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+    w, u = scipy.linalg.eigh(marg_cov, lower=True)
+    if w[0] <= 1e6 * np.finfo(float).eps * np.max(np.abs(w)):
         return float("inf")
-    q = np.maximum(np.atleast_1d(density) * grid.cell_area, _DENSITY_FLOOR)
+    white = (points - marg_mean) @ np.multiply(u, np.sqrt(1.0 / w))
+    maha = np.sum(np.square(white), axis=-1)
+    density = np.exp(-0.5 * (2 * np.log(2 * np.pi) + np.sum(np.log(w)) + maha))
+    q = np.maximum(density * grid.cell_area, _DENSITY_FLOOR)
     p = mass.reshape(-1)
     occupied = p > 0.0
     return float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])))

@@ -84,11 +84,16 @@ class _GaussianAdapter:
         return state
 
 
+def _count(param, least: int, what: str) -> int:
+    """``param`` as an integer count of at least ``least``, else ConfigError."""
+    if not (param >= least and float(param).is_integer()):
+        raise ConfigError(f"{what} must be an integer of at least {least}, got {param:g}")
+    return int(param)
+
+
 class _ParticleAdapter:
     def __init__(self, particles):
-        self.particles = int(particles)
-        if self.particles < 2:
-            raise ConfigError(f"pf needs at least 2 particles, got {particles}")
+        self.particles = _count(particles, 2, "pf particles")
 
     def init(self, prior, rng):
         pts = prior.mean + baselines.sample_gaussian(rng, prior.cov, self.particles)
@@ -138,11 +143,15 @@ FILTERS = {
         None, "", "unscented Kalman filter (alpha=1e-3, kappa=0, beta=2)",
     ),
     "iekf": _FilterEntry(
-        lambda n: _GaussianAdapter(partial(baselines.iekf_update, iterations=int(n))),
+        lambda n: _GaussianAdapter(
+            partial(baselines.iekf_update, iterations=_count(n, 1, "iekf iterations"))
+        ),
         10, "iterations", "iterated EKF (param: iterations)",
     ),
     "ruf": _FilterEntry(
-        lambda n: _GaussianAdapter(partial(baselines.ruf_update, steps=int(n))),
+        lambda n: _GaussianAdapter(
+            partial(baselines.ruf_update, steps=_count(n, 1, "ruf steps"))
+        ),
         10, "steps", "recursive update filter (param: update steps)",
     ),
     "pf": _FilterEntry(
@@ -172,6 +181,8 @@ def parse_filter(text: str):
             param = float(raw)
         except ValueError:
             raise ConfigError(f"bad parameter {raw!r} for filter {name!r}") from None
+        if math.isnan(param):
+            raise ConfigError(f"filter {name!r} takes no NaN parameter")
     else:
         param = entry.default
     return text, name, param
@@ -185,10 +196,11 @@ def parse_filter(text: str):
 class CampaignConfig:
     """Everything that defines a campaign.
 
-    ``filters`` are spec strings ("pukf@0.1", "ruf@3", "ekf").  ``steps``
-    of None uses the scenario default.  ``ref_particles`` of 0 disables
-    the particle reference and the KL metric.  ``include_timing`` adds
-    wall-clock rows, which are the only non-deterministic output.
+    ``filters`` are spec strings ("pukf@0.1", "ruf@3", "ekf"), each built
+    once here, so a parameter no filter can run with is a ConfigError.
+    ``steps`` of None uses the scenario default.  ``ref_particles`` of 0
+    disables the particle reference and the KL metric.  ``include_timing``
+    adds wall-clock rows, which are the only non-deterministic output.
     """
 
     scenario: str
@@ -219,7 +231,11 @@ class CampaignConfig:
             )
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        labels = [parse_filter(spec)[0] for spec in self.filters]
+        labels = []
+        for spec in self.filters:  # building a filter checks its parameter
+            label, name, param = parse_filter(spec)
+            FILTERS[name].build(param)
+            labels.append(label)
         if len(set(labels)) < len(labels):
             raise ConfigError(f"a filter label is listed twice in {labels}")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -21,6 +23,7 @@ from pukf import (
     systematic_resample,
     ukf_update,
     unscented_transform,
+    weight_particles,
 )
 
 from helpers import kalman_update, pointwise, random_quadratic, random_spd
@@ -422,3 +425,18 @@ class TestBootstrapPfStep:
         model = MeasurementModel(func=lambda x: x, value=[0.5], noise_cov=np.eye(1))
         out = bootstrap_pf_step(cloud, state_model, model, rng)
         np.testing.assert_allclose(out.weights, 0.01)
+
+
+class TestWeightParticles:
+    def test_zero_weight_particle_stays_at_zero_without_a_warning(self):
+        rng = np.random.default_rng(18)
+        cloud = ParticleCloud(rng.normal(size=(3, 1)), np.array([0.5, 0.5, 0.0]))
+        state_model = LinearStateModel(transition=np.eye(1), noise_cov=0.1 * np.eye(1))
+        model = MeasurementModel(func=lambda x: x, value=[0.2], noise_cov=np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = weight_particles(cloud, state_model, model, rng)
+        assert not out.degenerate
+        assert out.weights[2] == 0.0
+        assert np.all(out.weights[:2] > 0.0)
+        assert out.weights.sum() == pytest.approx(1.0)

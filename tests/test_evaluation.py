@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     DEFAULT_PROBS,
@@ -13,7 +21,28 @@ from pukf import (
     ellipsoid_coverage,
     error_quantiles,
     kl_divergence_grid,
+    kl_divergence_mass,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time and memory, and the
+    # metrics need only two closed forms from it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pukf; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def random_cov(dim, rng, eigenvalues):
+    """A covariance with the given eigenvalues in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return (basis * eigenvalues) @ basis.T
 
 
 class TestErrorQuantiles:
@@ -43,7 +72,6 @@ class TestErrorQuantiles:
             error_quantiles(sample), np.quantile(sample, DEFAULT_PROBS)
         )
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_errors(self):
         # np.quantile gives nan for each of these: inf * 0 or inf - inf
         inf = np.inf
@@ -96,6 +124,25 @@ class TestEllipsoidCoverage:
         estimate = GaussianState([0.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(SingularCovariance):
             ellipsoid_coverage([0.0, 0.0], estimate)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 4.0),
+    )
+    def test_matches_the_chi2_distribution(self, dim, seed, scale):
+        # scale 0 puts the truth at the mean, where m2 is 0.
+        rng = np.random.default_rng(seed)
+        cov = random_cov(dim, rng, 10.0 ** rng.uniform(-3.0, 3.0, size=dim))
+        estimate = GaussianState(rng.normal(size=dim), cov)
+        truth = estimate.mean + scale * np.linalg.cholesky(estimate.cov) @ rng.normal(size=dim)
+        probs = (0.0, *DEFAULT_PROBS, 0.99, 1.0)
+        diff = estimate.mean - truth
+        factor = scipy.linalg.cho_factor(estimate.cov, lower=True)
+        m2 = float(diff @ scipy.linalg.cho_solve(factor, diff))
+        want = [scipy.stats.chi2.cdf(m2, df=dim) < p for p in probs]
+        assert ellipsoid_coverage(truth, estimate, probs).tolist() == want
 
 
 class TestGrid2D:
@@ -199,3 +246,53 @@ class TestKlDivergenceGrid:
         grid = Grid2D.from_cloud(cloud)
         kl = kl_divergence_grid(cloud, GaussianState(np.zeros(4), cov4), grid)
         assert 0.0 <= kl < 0.05
+
+
+def kl_with_scipy_stats(mass, approx, grid):
+    """The gridded KL with the density from scipy.stats.multivariate_normal."""
+    marg_mean = approx.mean[[0, 1]]
+    marg_cov = approx.cov[np.ix_([0, 1], [0, 1])]
+    mx, my = grid.midpoints()
+    points = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1).reshape(-1, 2)
+    try:
+        density = scipy.stats.multivariate_normal.pdf(points, mean=marg_mean, cov=marg_cov)
+    except (np.linalg.LinAlgError, ValueError):
+        return float("inf")
+    q = np.maximum(density * grid.cell_area, 1e-300)
+    p = mass.reshape(-1)
+    occupied = p > 0.0
+    return float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])))
+
+
+# scipy's cut for a numerically singular covariance: the smallest eigenvalue
+# at most 1e6 * eps times the largest in magnitude.
+SINGULAR_CUT = 1e6 * np.finfo(float).eps
+REFERENCE = ParticleCloud.uniform(
+    np.random.default_rng(11).multivariate_normal([0.0, 0.0], np.eye(2), size=2_000)
+)
+REFERENCE_GRID = Grid2D.from_cloud(REFERENCE)
+REFERENCE_MASS = REFERENCE_GRID.mass(REFERENCE)
+
+
+class TestKlDivergenceMass:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        largest=st.floats(1e-2, 1e2),
+        ratio=st.one_of(
+            st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
+            st.floats(0.5, 2.0).map(lambda f: f * SINGULAR_CUT),
+            st.sampled_from([0.0, -1e-12]),
+        ),
+    )
+    def test_equals_scipy_stats_density(self, dim, seed, largest, ratio):
+        # ratio 0 is a zero eigenvalue, and -1e-12 a negative one inside the
+        # slack GaussianState accepts; both must give inf on both sides.
+        rng = np.random.default_rng(seed)
+        plane = random_cov(2, rng, [largest, ratio * largest])
+        rest = random_cov(dim - 2, rng, rng.uniform(0.1, 10.0, size=dim - 2))
+        cov = scipy.linalg.block_diag(plane, rest)
+        approx = GaussianState(rng.normal(scale=0.5, size=dim), cov)
+        got = kl_divergence_mass(REFERENCE_MASS, approx, REFERENCE_GRID)
+        assert got == kl_with_scipy_stats(REFERENCE_MASS, approx, REFERENCE_GRID)

