@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import (
     AnalyticMeasurementModel,
@@ -218,13 +218,14 @@ class ParticleCloud:
 def sample_gaussian(rng: np.random.Generator, cov: np.ndarray, size: int) -> np.ndarray:
     """Draw ``size`` zero-mean samples with the given PSD covariance.
 
-    Uses the eigendecomposition route so exactly singular covariances
-    (including all-zero process noise) sample cleanly.
+    The same bits as ``rng.multivariate_normal(zeros, cov, size,
+    method="eigh", check_valid="ignore")`` from the same generator state:
+    standard normals times ``(u sqrt|w|)'`` from ``numpy.linalg.eigh``, so
+    exactly singular covariances (including all-zero process noise) sample
+    cleanly.
     """
-    cov = np.asarray(cov, dtype=float)
-    return rng.multivariate_normal(
-        np.zeros(cov.shape[0]), cov, size=size, method="eigh", check_valid="ignore"
-    )
+    w, u = np.linalg.eigh(np.asarray(cov, dtype=float))
+    return rng.standard_normal((size, w.shape[0])) @ (u * np.sqrt(abs(w))).T
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -232,19 +233,44 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
     Returns an index array of length N.  A particle with weight w is
     selected floor(N w) or ceil(N w) times, so equal weights reproduce
-    every particle exactly once.
+    every particle exactly once.  The same indices as
+    ``searchsorted(cumsum(weights), (u + arange(N)) / N)`` in O(N): each
+    particle's count of positions at or below its cumulative weight c is
+    estimated as floor(c N - u) + 1 and corrected by one comparison each
+    way against the positions themselves.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
-    positions = (rng.random() + np.arange(n)) / n
+    return np.repeat(np.arange(n), np.diff(_positions_at_or_below(weights, rng), prepend=0))
+
+
+def _positions_at_or_below(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """For each particle, how many systematic positions lie at or below its
+    cumulative weight; a function of its own, so the work arrays are freed
+    before :func:`systematic_resample` builds its indices."""
+    n = weights.shape[0]
+    u = rng.random()
+    padded = np.empty(n + 2)  # padded[k] is positions[k - 1]
+    padded[0], padded[-1] = -np.inf, np.inf
+    positions = np.add(u, np.arange(n), out=padded[1:-1])
+    positions /= n
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0  # guard against roundoff at the top end
-    return np.searchsorted(cumulative, positions)
+    below = cumulative * n
+    below -= u
+    below = np.floor(below, out=below).astype(np.intp)
+    below += 1
+    np.clip(below, 0, n, out=below)
+    below -= padded[below] > cumulative
+    below += padded[1:][below] <= cumulative
+    return below
 
 
 def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:
-    """The equal-weight cloud picked from ``cloud`` by :func:`systematic_resample`."""
-    return ParticleCloud.uniform(cloud.particles[systematic_resample(cloud.weights, rng)])
+    """The equal-weight cloud picked from ``cloud`` by :func:`systematic_resample`:
+    the same particles, in the same order, as indexing with its result."""
+    picked = np.take(cloud.particles, systematic_resample(cloud.weights, rng), axis=0)
+    return ParticleCloud.uniform(picked)
 
 
 def propagate_particles(
@@ -261,16 +287,28 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
 
     A particle whose predicted measurement overflows or is otherwise
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
+    The same bits as ``scipy.linalg.cho_factor``/``cho_solve`` on the noise
+    covariance, through LAPACK ``dpotrf``/``dpotrs``; a failed factorization
+    raises ``LinAlgError``.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     with np.errstate(invalid="ignore"):
         residual = model.value - model.evaluate(particles)  # (N, d)
-    out = np.full(particles.shape[0], -np.inf)
     finite = np.isfinite(residual).all(axis=1)
-    if np.any(finite):
-        c, low = scipy.linalg.cho_factor(model.noise_cov, lower=True)
-        solved = scipy.linalg.cho_solve((c, low), residual[finite].T)  # (d, N)
-        out[finite] = -0.5 * np.einsum("dn,dn->n", residual[finite].T, solved)
+    every = finite.all()
+    if not every:
+        residual = residual[finite]
+    quad = np.empty(0)
+    if residual.shape[0]:
+        c, info = dpotrf(model.noise_cov, lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError("measurement noise covariance factorization failed")
+        solved = dpotrs(c, residual.T, lower=1)[0]  # (d, N)
+        quad = -0.5 * np.einsum("dn,dn->n", residual.T, solved)
+    if every:
+        return quad
+    out = np.full(particles.shape[0], -np.inf)
+    out[finite] = quad
     return out
 
 

@@ -90,6 +90,25 @@ def ellipsoid_coverage(
     return np.array([level < p for p in probs])
 
 
+def _cells(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of each value on evenly spaced edges, and whether it lies
+    in [edges[0], edges[-1]]; indices of values outside are meaningless.
+
+    The index comes from the uniform spacing and is then corrected by one
+    comparison each way against the edges themselves, so it is the cell
+    ``np.histogram2d`` picks: edges[k] <= v < edges[k + 1], or the last
+    cell for v == edges[-1].
+    """
+    cells = edges.size - 1
+    inside = (v >= edges[0]) & (v <= edges[-1])  # NaN is outside
+    k = (v - edges[0]) * (cells / (edges[-1] - edges[0]))
+    k[~inside] = 0.0  # before the cast, which warns on NaN
+    k = np.minimum(k.astype(np.intp), cells - 1)
+    k -= v < edges[k]
+    k += v >= np.append(edges[1:-1], np.inf)[k]  # the last cell is closed
+    return k, inside
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Rectangular histogram grid over the position plane."""
@@ -104,8 +123,9 @@ class Grid2D:
         mean = cloud.weights @ pos
         var = cloud.weights @ (pos - mean) ** 2
         pad = GRID_PAD_SIGMAS * np.sqrt(np.maximum(var, 0.0))
-        lo = pos.min(axis=0) - pad
-        hi = pos.max(axis=0) + pad
+        lo, hi = pos.min(axis=0), pos.max(axis=0)
+        pad = np.where(hi > lo, pad, 0.0)  # not the roundoff of a point's variance
+        lo, hi = lo - pad, hi + pad
         span = hi - lo
         # Degenerate clouds (all particles identical) still need a box.
         lo = np.where(span > 0.0, lo, lo - 1e-6)
@@ -123,11 +143,20 @@ class Grid2D:
 
     def mass(self, cloud: ParticleCloud) -> np.ndarray:
         """Particle weight per cell, shape (nx, ny).  Raises GridTooSmall
-        if more than 0.1% of the weight falls outside the grid."""
-        pos = cloud.particles[:, _PLANE]
-        mass, _, _ = np.histogram2d(
-            pos[:, 0], pos[:, 1], bins=[self.x_edges, self.y_edges], weights=cloud.weights
-        )
+        if more than 0.1% of the weight falls outside the grid.
+
+        The same bins and bits as ``np.histogram2d`` on evenly spaced,
+        strictly increasing edges such as :meth:`from_cloud` builds: cells
+        are half-open except the closed last one, and each cell sums its
+        weights in particle order with one ``np.bincount``.
+        """
+        nx, ny = self.x_edges.size - 1, self.y_edges.size - 1
+        kx, in_x = _cells(cloud.particles[:, _PLANE[0]], self.x_edges)
+        ky, in_y = _cells(cloud.particles[:, _PLANE[1]], self.y_edges)
+        flat = kx * ny + ky
+        flat[~(in_x & in_y)] = nx * ny  # one dump bin for everything outside
+        mass = np.bincount(flat, cloud.weights, minlength=nx * ny + 1)
+        mass = mass[:-1].reshape(nx, ny)
         inside = mass.sum()
         if inside < 1.0 - 1e-3:
             raise GridTooSmall(f"grid captures only {inside:.6f} of the reference mass")

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -219,16 +220,17 @@ class CampaignConfig:
         object.__setattr__(self, "filters", tuple(self.filters))
         if not self.filters:
             raise ConfigError("filter list must not be empty")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be at least 1, got {self.runs}")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError(f"steps must be at least 1, got {self.steps}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
-        if self.ref_particles < 0 or self.ref_particles == 1:
-            raise ConfigError(
-                f"ref_particles must be 0 or at least 2, got {self.ref_particles}"
-            )
+        counts = {"runs": 1, "steps": 1, "jobs": 1, "ref_particles": 0}
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if name == "steps" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
+        if self.ref_particles == 1:
+            raise ConfigError("ref_particles must be 0 or at least 2, got 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         labels = []

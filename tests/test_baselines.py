@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     AnalyticMeasurementModel,
@@ -289,8 +292,81 @@ class TestSampleGaussian:
         draws = sample_gaussian(np.random.default_rng(8), np.zeros((2, 2)), 10)
         np.testing.assert_allclose(draws, 0.0, atol=1e-12)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        kind=st.sampled_from(["zero", "singular", "diagonal", "random"]),
+        size=st.sampled_from([1, 2, 7, 30_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_draws_as_numpy_eigh(self, n, kind, size, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "zero":
+            cov = np.zeros((n, n))
+        elif kind == "diagonal":
+            cov = np.diag(rng.uniform(0.0, 10.0, size=n))
+        else:
+            rank = n if kind == "random" else n - 1
+            factor = rng.normal(size=(n, rank))
+            cov = factor @ factor.T
+        got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got = sample_gaussian(got_rng, cov, size)
+        want = want_rng.multivariate_normal(
+            np.zeros(n), cov, size=size, method="eigh", check_valid="ignore"
+        )
+        assert got.shape == (size, n)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # the same draws consumed
+
+
+def searchsorted_resample(weights, rng):
+    """The O(N log N) systematic resampler that systematic_resample replaced."""
+    n = weights.shape[0]
+    positions = (rng.random() + np.arange(n)) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, positions)
+
+
+class FixedUniform:
+    """A generator stand-in whose one uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
 
 class TestSystematicResample:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 50), st.sampled_from([1000, 4096, 100_000])),
+        kind=st.sampled_from(["uniform", "spiky", "zeros", "point"]),
+        power=st.integers(1, 80),
+        u=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_indices_as_searchsorted(self, n, kind, power, u, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            weights = np.full(n, 1.0 / n)
+        elif kind == "spiky":
+            weights = rng.random(n) ** power
+        elif kind == "zeros":
+            weights = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+            weights[rng.integers(n)] = 1.0
+        else:
+            weights = np.zeros(n)
+            weights[rng.integers(n)] = 1.0
+        weights = weights / weights.sum()
+        got = systematic_resample(weights, FixedUniform(u))
+        assert np.array_equal(got, searchsorted_resample(weights, FixedUniform(u)))
+        assert got.dtype == np.intp
+
     def test_equal_weights_keep_every_particle(self):
         for seed in range(5):
             idx = systematic_resample(np.full(7, 1.0 / 7.0), np.random.default_rng(seed))
@@ -331,7 +407,51 @@ class TestSystematicResample:
         assert not out.degenerate
 
 
+def cho_log_likelihood(model, particles):
+    """The cho_factor/cho_solve log-likelihood that log_likelihood replaced."""
+    with np.errstate(invalid="ignore"):
+        residual = model.value - model.evaluate(particles)
+    out = np.full(particles.shape[0], -np.inf)
+    finite = np.isfinite(residual).all(axis=1)
+    if np.any(finite):
+        c, low = scipy.linalg.cho_factor(model.noise_cov, lower=True)
+        solved = scipy.linalg.cho_solve((c, low), residual[finite].T)
+        out[finite] = -0.5 * np.einsum("dn,dn->n", residual[finite].T, solved)
+    return out
+
+
 class TestLogLikelihood:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 4),
+        count=st.sampled_from([1, 2, 17, 5000]),
+        bad=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_cho_solve(self, n, d, count, bad, seed):
+        rng = np.random.default_rng(seed)
+        h_mat = rng.normal(size=(d, n))
+        model = MeasurementModel(
+            func=lambda x: x @ h_mat.T,
+            value=rng.normal(size=d),
+            noise_cov=random_spd(rng, d),
+        )
+        particles = rng.normal(size=(count, n))
+        rows = rng.random(count) < bad
+        particles[rows, rng.integers(n)] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=rows.sum()
+        )
+        got = log_likelihood(model, particles)
+        assert np.array_equal(got, cho_log_likelihood(model, particles))
+        assert np.all(got[rows] == -np.inf)
+
+    def test_failed_factorization_raises_linalg_error(self):
+        model = MeasurementModel(func=lambda x: x, value=[0.0], noise_cov=[[1.0]])
+        object.__setattr__(model, "noise_cov", np.array([[-1.0]]))  # past the check
+        with pytest.raises(np.linalg.LinAlgError):
+            log_likelihood(model, np.zeros((3, 1)))
+
     def test_matches_scipy_up_to_constant(self):
         rng = np.random.default_rng(13)
         h_mat = rng.normal(size=(2, 3))

@@ -164,6 +164,61 @@ class TestGrid2D:
         assert grid.x_edges[0] < 1.0 < grid.x_edges[-1]
         assert grid.cell_area > 0.0
 
+    def test_weighted_point_cloud_gets_the_degenerate_box(self):
+        # The weighted variance of identical points is roundoff, not spread:
+        # it must not shrink the +-1e-6 box to a few ulps with repeated edges.
+        weights = np.random.default_rng(2).random(10)
+        cloud = ParticleCloud(np.tile([1.3, -0.7], (10, 1)), weights / weights.sum())
+        grid = Grid2D.from_cloud(cloud)
+        for edges, at in ((grid.x_edges, 1.3), (grid.y_edges, -0.7)):
+            np.testing.assert_allclose([edges[0], edges[-1]], [at - 1e-6, at + 1e-6])
+            assert np.all(np.diff(edges) > 0.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 50, 3000, 30_000]),
+        scale=st.floats(1e-3, 1e3),
+        offset=st.floats(-1e4, 1e4),
+        point_cloud=st.booleans(),
+        on_edges=st.floats(0.0, 0.5),
+        outside=st.sampled_from([0.0, 5e-4, 2e-3, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bins_as_histogram2d(
+        self, n, scale, offset, point_cloud, on_edges, outside, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if point_cloud:  # the +-1e-6 box of a degenerate cloud
+            particles = np.tile(offset + scale * rng.normal(size=2), (n, 1))
+        else:
+            particles = offset + scale * rng.normal(size=(n, 2))
+        weights = rng.random(n) ** 3
+        weights /= weights.sum()
+        grid = Grid2D.from_cloud(ParticleCloud(particles, weights))
+        for axis, edges in enumerate((grid.x_edges, grid.y_edges)):
+            hit = rng.random(n) < on_edges  # interior edges and both ends
+            particles[hit, axis] = rng.choice(edges, size=hit.sum())
+            last = rng.random(n) < on_edges / 4
+            particles[last, axis] = edges[-1]
+            away = rng.random(n) < outside
+            particles[away, axis] = rng.choice(
+                [np.nan, np.inf, -np.inf, edges[0] - scale,
+                 np.nextafter(edges[0], -np.inf), np.nextafter(edges[-1], np.inf)],
+                size=away.sum(),
+            )
+        cloud = ParticleCloud(particles, weights)
+        want, _, _ = np.histogram2d(
+            particles[:, 0], particles[:, 1],
+            bins=[grid.x_edges, grid.y_edges], weights=weights,
+        )
+        if want.sum() < 1.0 - 1e-3:
+            with pytest.raises(GridTooSmall):
+                grid.mass(cloud)
+        else:
+            got = grid.mass(cloud)
+            assert np.array_equal(got, want)
+            assert got.sum() == want.sum()
+
 
 class TestKlDivergenceGrid:
     def test_matched_gaussian_is_near_zero(self):

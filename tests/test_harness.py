@@ -92,6 +92,14 @@ INVALID_PARAMETERS = (
     "pukf@nan", "iekf@0", "ruf@-1", "iekf@inf", "pf@nan", "iekf@2.5", "pf@1",
 )
 
+# Count fields that are not integers; each must be a ConfigError up front,
+# not a TypeError from range() or a failure when the first run starts.
+NON_INTEGER_COUNTS = (
+    dict(runs=2.5), dict(runs=2.0), dict(runs="2"), dict(runs=True),
+    dict(steps=1.5), dict(jobs=1.5), dict(ref_particles=2.5),
+    dict(ref_particles=20000.0),
+)
+
 
 class TestCampaignConfig:
     def test_validation(self):
@@ -116,6 +124,10 @@ class TestCampaignConfig:
         for spec in INVALID_PARAMETERS:
             with pytest.raises(ConfigError):
                 CampaignConfig(scenario="polynomial", filters=(spec,))
+        for counts in NON_INTEGER_COUNTS:
+            with pytest.raises(ConfigError, match="integer"):
+                CampaignConfig(**good, **counts)
+        CampaignConfig(**good, runs=np.int64(2), steps=None, ref_particles=0)
 
     def test_a_filter_listed_twice_is_rejected(self):
         # The label is the report key, so a repeated label would write every
@@ -386,6 +398,27 @@ class TestReports:
             report.value("ekf", "no_such_metric")
 
 
+# The report of a small particle-reference campaign, written before the
+# reference kernels were rewritten (histogram2d binning, searchsorted
+# resampling, multivariate_normal draws, cho_solve weights) by
+#   pukf-bench run --scenario bearings_far_near --filters <GOLDEN_FILTERS>
+#       --runs 2 --steps 4 --seed 1 --ref-particles 20000 --out <file>
+GOLDEN_REPORT = Path(__file__).parent / "data" / "bearings_far_near_ref_small.csv"
+GOLDEN_FILTERS = (
+    "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf2", "ruf@3", "ruf@10", "ukf",
+)
+
+
+def test_reference_campaign_report_is_byte_identical(tmp_path):
+    cfg = CampaignConfig(
+        scenario="bearings_far_near", filters=GOLDEN_FILTERS,
+        runs=2, steps=4, seed=1, ref_particles=20_000,
+    )
+    report, _ = run_campaign(cfg)
+    out = emit_report(report, str(tmp_path / "report.csv"))
+    assert Path(out).read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
 class TestCli:
     def test_list_commands(self, capsys):
         assert cli_main(["list-scenarios"]) == 0
@@ -431,7 +464,7 @@ class TestCli:
         assert "# runs=2" in text  # flag overrode the file
         assert "pukf@1" in text
 
-    def test_config_errors_exit_2(self, capsys):
+    def test_config_errors_exit_2(self, capsys, tmp_path):
         assert cli_main(["run", "--filters", "ekf"]) == 2  # no scenario
         assert cli_main(["run", "--scenario", "polynomial"]) == 2  # no filters
         assert (
@@ -444,6 +477,12 @@ class TestCli:
         argv = ["run", "--scenario", "polynomial", "--runs", "1", "--steps", "2"]
         for spec in INVALID_PARAMETERS:
             assert cli_main(argv + ["--filters", spec]) == 2, spec
+        path = tmp_path / "config.json"
+        for counts in NON_INTEGER_COUNTS:
+            fields = dict(scenario="polynomial", filters=["ekf"], runs=1, steps=1)
+            path.write_text(json.dumps({**fields, **counts}))
+            assert cli_main(["run", "--config", str(path)]) == 2, counts
+            assert "integer" in capsys.readouterr().err
 
     def test_io_errors_exit_3(self, capsys):
         code = cli_main(
