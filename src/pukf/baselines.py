@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
 from .core import (
     AnalyticMeasurementModel,
@@ -196,7 +196,7 @@ class ParticleCloud:
         if np.any(weights < 0.0):
             raise ValueError("weights must be non-negative")
         total = weights.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also for a NaN total
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "weights", weights)
@@ -287,9 +287,8 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
 
     A particle whose predicted measurement overflows or is otherwise
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
-    The same bits as ``scipy.linalg.cho_factor``/``cho_solve`` on the noise
-    covariance, through LAPACK ``dpotrf``/``dpotrs``; a failed factorization
-    raises ``LinAlgError``.
+    The quadratic form solves with LAPACK ``dpotrs`` against the model's
+    ``sqrt_noise``, the factor checked when the model was built.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     with np.errstate(invalid="ignore"):
@@ -300,10 +299,7 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
         residual = residual[finite]
     quad = np.empty(0)
     if residual.shape[0]:
-        c, info = dpotrf(model.noise_cov, lower=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError("measurement noise covariance factorization failed")
-        solved = dpotrs(c, residual.T, lower=1)[0]  # (d, N)
+        solved = dpotrs(model.sqrt_noise, residual.T, lower=1)[0]  # (d, N)
         quad = -0.5 * np.einsum("dn,dn->n", residual.T, solved)
     if every:
         return quad

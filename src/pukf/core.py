@@ -107,13 +107,15 @@ class MeasurementModel:
     value : array_like, shape (d,)
         The realized measurement.
     noise_cov : array_like, shape (d, d)
-        Additive Gaussian noise covariance; must be symmetric positive
-        definite.
+        Additive Gaussian noise covariance; must be finite and symmetric
+        positive definite.  The factor that validates it is kept as the
+        derived, unsettable ``sqrt_noise``: :func:`matrix_sqrt`'s bits.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     value: np.ndarray
     noise_cov: np.ndarray
+    sqrt_noise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         value = np.atleast_1d(np.asarray(self.value, dtype=float))
@@ -124,14 +126,14 @@ class MeasurementModel:
             raise ValueError(
                 f"value has dimension {value.shape[0]} but noise is {noise.shape}"
             )
-        try:
-            np.linalg.cholesky(noise)
-        except np.linalg.LinAlgError:
+        sqrt_noise, info = dpotrf(noise, lower=1, clean=1)
+        if not np.all(np.isfinite(noise)) or info != 0:
             raise NotPositiveSemiDefinite(
-                "measurement noise covariance is not positive definite"
-            ) from None
+                "measurement noise covariance is not finite and positive definite"
+            )
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "noise_cov", noise)
+        object.__setattr__(self, "sqrt_noise", np.ascontiguousarray(sqrt_noise))
 
     @property
     def dim(self) -> int:
@@ -198,8 +200,9 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
 
     If the factorization fails, the matrix is retried with a jitter of
     1e-12 * trace/n added to the diagonal, escalating tenfold at most three
-    times before NotPositiveSemiDefinite is raised.  The diagonal of the
-    returned factor is non-negative.
+    times before NotPositiveSemiDefinite is raised.  The factor comes from
+    LAPACK ``dpotrf``, as every Cholesky step in the package does, and is
+    returned C-contiguous; its diagonal is non-negative.
     """
     cov = _square(cov, "covariance")
     asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
@@ -213,12 +216,12 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     jitter = 1e-12 * np.trace(cov) / n
     attempt = cov
     for k in range(5):
-        try:
-            return np.linalg.cholesky(attempt)
-        except np.linalg.LinAlgError:
-            if k == 4 or jitter <= 0.0:
-                break
-            attempt = cov + (jitter * 10.0**k) * np.eye(n)
+        factor, info = dpotrf(attempt, lower=1, clean=1)
+        if info == 0:
+            return np.ascontiguousarray(factor)
+        if k == 4 or jitter <= 0.0:
+            break
+        attempt = cov + (jitter * 10.0**k) * np.eye(n)
     raise NotPositiveSemiDefinite(
         "covariance is not positive semi-definite (Cholesky failed after jitter)"
     )

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import MeasurementModel, symmetrize, sym_eig_ascending
+from .core import MeasurementModel, _square, symmetrize, sym_eig_ascending
 from .errors import SingularNoiseSqrt
 
 __all__ = [
@@ -56,12 +56,14 @@ def nonlinearity(Xi: np.ndarray, noise_cov: np.ndarray) -> float:
 
     Invariant under invertible re-mixing of the measurement vector, so it
     measures how non-quadratic-free the model is regardless of
-    parametrization.
+    parametrization.  Raises ValueError on non-finite input and LinAlgError
+    if the noise covariance is not positive definite.
     """
-    Xi = np.asarray(Xi, dtype=float)
-    noise_cov = np.asarray(noise_cov, dtype=float)
-    c, low = scipy.linalg.cho_factor(noise_cov, lower=True)
-    return float(np.trace(scipy.linalg.cho_solve((c, low), Xi)))
+    noise_cov = np.asarray_chkfinite(_square(noise_cov, "noise covariance"))
+    c, info = dpotrf(noise_cov, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("noise covariance is not positive definite")
+    return float(np.trace(dpotrs(c, np.asarray_chkfinite(Xi, dtype=float), lower=1)[0]))
 
 
 def _check_sqrt_invertible(sqrt_noise: np.ndarray) -> None:

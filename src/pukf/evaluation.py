@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import chdtr
 
 from .baselines import ParticleCloud
@@ -77,15 +78,13 @@ def ellipsoid_coverage(
     dim degrees of freedom) of the squared Mahalanobis distance is
     strictly below p.  Returns one bool per entry of ``probs``.
     """
-    truth = np.asarray(truth, dtype=float)
-    diff = estimate.mean - truth
-    try:
-        c, low = scipy.linalg.cho_factor(estimate.cov, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
+    diff = estimate.mean - np.asarray_chkfinite(truth, dtype=float)
+    c, info = dpotrf(estimate.cov, lower=1, clean=0)
+    if info != 0:
         raise SingularCovariance(
             "estimate covariance cannot be factorized for a Mahalanobis norm"
-        ) from None
-    m2 = float(diff @ scipy.linalg.cho_solve((c, low), diff))
+        )
+    m2 = float(diff @ dpotrs(c, diff, lower=1)[0])
     level = chdtr(estimate.dim, max(m2, 0.0))
     return np.array([level < p for p in probs])
 
@@ -118,7 +117,8 @@ class Grid2D:
 
     @classmethod
     def from_cloud(cls, cloud: ParticleCloud) -> "Grid2D":
-        """Bounds from particle min/max padded by GRID_PAD_SIGMAS weighted stds."""
+        """Bounds from particle min/max padded by GRID_PAD_SIGMAS weighted stds,
+        widened evenly to at least +-1e-6 and +-128 ulps, so edges increase."""
         pos = cloud.particles[:, _PLANE]
         mean = cloud.weights @ pos
         var = cloud.weights @ (pos - mean) ** 2
@@ -126,10 +126,9 @@ class Grid2D:
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         pad = np.where(hi > lo, pad, 0.0)  # not the roundoff of a point's variance
         lo, hi = lo - pad, hi + pad
-        span = hi - lo
-        # Degenerate clouds (all particles identical) still need a box.
-        lo = np.where(span > 0.0, lo, lo - 1e-6)
-        hi = np.where(span > 0.0, hi, hi + 1e-6)
+        least = np.maximum(1e-6, 128 * np.spacing(np.maximum(abs(lo), abs(hi))))
+        short = np.maximum(least - 0.5 * (hi - lo), 0.0)
+        lo, hi = lo - short, hi + short
         return cls(
             x_edges=np.linspace(lo[0], hi[0], GRID_CELLS + 1),
             y_edges=np.linspace(lo[1], hi[1], GRID_CELLS + 1),

@@ -21,7 +21,6 @@ with -inf it processes one transformed element per round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -57,11 +56,14 @@ class PukfConfig:
 @dataclass(frozen=True)
 class PartialUpdateRound:
     """One round of a partitioned update: the spectrum seen, the block size
-    taken, and the belief after absorbing that block."""
+    taken, and the belief ``mean``/``cov`` after absorbing that block, as
+    plain arrays.  Only the last round's belief is validated, as the
+    returned posterior."""
 
     lambdas: np.ndarray
     split_k: int
-    posterior: GaussianState
+    mean: np.ndarray
+    cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,18 @@ def pukf_update(
 
     Returns the posterior belief and a trace with one entry per round.
     The sum of the per-round block sizes always equals the measurement
-    dimension.
+    dimension.  Round 0 whitens by the model's ``sqrt_noise``; the rounds
+    carry plain arrays, and the posterior is the one ``GaussianState``
+    built.
     """
     mean = prior.mean
     cov = prior.cov
-    d = model.dim
-    sqrt_noise: Optional[np.ndarray] = matrix_sqrt(model.noise_cov)
+    sqrt_noise = model.sqrt_noise
     # What is left of the measurement, as rows over the original model.
-    rows = np.eye(d)
+    rows = np.eye(model.dim)
 
     rounds = []
-    while d > 0:
+    while len(rows):
         sqrt_p = matrix_sqrt(cov)
         lin = linearize(model.evaluate, mean, sqrt_p)
         dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, config.threshold)
@@ -107,18 +110,12 @@ def pukf_update(
         b = head @ lin.M  # (k, n)
         s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
         mean, cov = _correct(mean, cov, head @ model.value - yhat, s, sqrt_p @ b.T)
-        posterior = GaussianState(mean, cov)
-        rounds.append(
-            PartialUpdateRound(
-                lambdas=dec.lambdas.copy(), split_k=k, posterior=posterior
-            )
-        )
+        rounds.append(PartialUpdateRound(dec.lambdas, k, mean, cov))
 
         # The remaining elements in the transformed basis; their noise is
         # white by construction.
         rows = dec.D[k:] @ rows
         sqrt_noise = None
-        d -= k
 
-    return rounds[-1].posterior, PartialUpdateTrace(rounds=tuple(rounds))
+    return GaussianState(mean, cov), PartialUpdateTrace(rounds=tuple(rounds))
 

@@ -140,10 +140,10 @@ def test_01_worked_example_goldens():
     first, second = trace.rounds
     np.testing.assert_allclose(first.lambdas, [0.0, 8.0], atol=1e-8)
     assert first.split_k == 1
-    np.testing.assert_allclose(first.posterior.mean, [-0.5], atol=1e-8)
-    np.testing.assert_allclose(first.posterior.cov, [[1.0 / 3.0]], atol=1e-8)
+    np.testing.assert_allclose(first.mean, [-0.5], atol=1e-8)
+    np.testing.assert_allclose(first.cov, [[1.0 / 3.0]], atol=1e-8)
     np.testing.assert_allclose(second.lambdas[-1], 8.0 / 9.0, atol=1e-8)
-    np.testing.assert_allclose(post.mean, second.posterior.mean, atol=1e-12)
+    np.testing.assert_allclose(post.mean, second.mean, atol=1e-12)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from pukf import (
     GaussianState,
@@ -13,6 +16,17 @@ from pukf import (
 )
 from pukf.core import _solve_spd
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "pukf"
+
+
+def test_one_cholesky_routine():
+    # Every Cholesky step in the package is LAPACK dpotrf/dpotrs; a second
+    # spelling could factor the same matrix to other bits.
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for other in ("linalg.cholesky", "cho_factor", "cho_solve"):
+            assert other not in text, f"{path.name} mentions {other}"
+
 
 class TestMatrixSqrt:
     def test_identity(self):
@@ -24,13 +38,17 @@ class TestMatrixSqrt:
     def test_reconstructs_random_spd(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            n = rng.integers(1, 7)
+            n = rng.integers(1, 9)
             a = rng.normal(size=(n, n))
             p = a @ a.T + 0.1 * np.eye(n)
             lower = matrix_sqrt(p)
             np.testing.assert_allclose(lower @ lower.T, p, atol=1e-12 * np.abs(p).max())
             assert np.allclose(np.triu(lower, 1), 0.0)
             assert np.all(np.diag(lower) >= 0.0)
+            # LAPACK's factor, C-contiguous: dpotrf's Fortran order would
+            # send later matmuls down another BLAS path.
+            assert lower.flags.c_contiguous
+            assert np.array_equal(lower, dpotrf(p, lower=1, clean=1)[0])
 
     def test_jitter_recovers_near_psd(self):
         # smallest eigenvalue a hair negative: jitter should absorb it
@@ -121,8 +139,23 @@ class TestGaussianState:
 
 class TestMeasurementModel:
     def test_noise_must_be_positive_definite(self):
-        with pytest.raises(NotPositiveSemiDefinite):
-            MeasurementModel(func=lambda x: x, value=[0.0], noise_cov=[[0.0]])
+        # Non-finite too: OpenBLAS potrf passes NaN through with info == 0.
+        nan_off = [[1.0, np.nan], [np.nan, 1.0]]
+        for noise in ([[0.0]], [[np.nan]], [[np.inf]], nan_off):
+            with pytest.raises(NotPositiveSemiDefinite):
+                MeasurementModel(func=lambda x: x, value=np.zeros(len(noise)), noise_cov=noise)
+
+    def test_sqrt_noise_is_the_matrix_sqrt(self):
+        rng = np.random.default_rng(5)
+        for d in range(1, 7):
+            a = rng.normal(size=(d, d))
+            noise = a @ a.T + 0.1 * np.eye(d)
+            m = MeasurementModel(func=lambda x: x, value=np.zeros(d), noise_cov=noise)
+            assert np.array_equal(m.sqrt_noise, matrix_sqrt(m.noise_cov))
+        with pytest.raises(TypeError):
+            MeasurementModel(
+                func=lambda x: x, value=[0.0], noise_cov=[[1.0]], sqrt_noise=[[1.0]]
+            )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

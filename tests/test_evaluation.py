@@ -179,23 +179,27 @@ class TestGrid2D:
         n=st.sampled_from([1, 2, 50, 3000, 30_000]),
         scale=st.floats(1e-3, 1e3),
         offset=st.floats(-1e4, 1e4),
-        point_cloud=st.booleans(),
+        cloud=st.sampled_from(["spread", "point", "ulps"]),
         on_edges=st.floats(0.0, 0.5),
         outside=st.sampled_from([0.0, 5e-4, 2e-3, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_same_bins_as_histogram2d(
-        self, n, scale, offset, point_cloud, on_edges, outside, seed
+        self, n, scale, offset, cloud, on_edges, outside, seed
     ):
         rng = np.random.default_rng(seed)
-        if point_cloud:  # the +-1e-6 box of a degenerate cloud
-            particles = np.tile(offset + scale * rng.normal(size=2), (n, 1))
+        base = offset + scale * rng.normal(size=2)
+        if cloud == "point":  # the +-1e-6 box of a degenerate cloud
+            particles = np.tile(base, (n, 1))
+        elif cloud == "ulps":  # an extent of a few ulps in each coordinate
+            particles = base + rng.integers(0, 4, size=(n, 2)) * np.spacing(base)
         else:
             particles = offset + scale * rng.normal(size=(n, 2))
         weights = rng.random(n) ** 3
         weights /= weights.sum()
         grid = Grid2D.from_cloud(ParticleCloud(particles, weights))
         for axis, edges in enumerate((grid.x_edges, grid.y_edges)):
+            assert np.all(np.diff(edges) > 0.0)
             hit = rng.random(n) < on_edges  # interior edges and both ends
             particles[hit, axis] = rng.choice(edges, size=hit.sum())
             last = rng.random(n) < on_edges / 4

@@ -126,13 +126,13 @@ class TestPukfUpdate:
 
         first = trace.rounds[0]
         np.testing.assert_allclose(first.lambdas, [0.0, 8.0], atol=1e-10)
-        np.testing.assert_allclose(first.posterior.mean, [-0.5], atol=1e-10)
-        np.testing.assert_allclose(first.posterior.cov, [[1.0 / 3.0]], atol=1e-10)
+        np.testing.assert_allclose(first.mean, [-0.5], atol=1e-10)
+        np.testing.assert_allclose(first.cov, [[1.0 / 3.0]], atol=1e-10)
 
         second = trace.rounds[1]
         np.testing.assert_allclose(second.lambdas, [8.0 / 9.0], atol=1e-10)
-        np.testing.assert_allclose(post.mean, second.posterior.mean, atol=1e-12)
-        np.testing.assert_allclose(post.cov, second.posterior.cov, atol=1e-12)
+        np.testing.assert_allclose(post.mean, second.mean, atol=1e-12)
+        np.testing.assert_allclose(post.cov, second.cov, atol=1e-12)
 
     def test_worked_example_against_reference(self):
         prior = GaussianState([1.0], [[1.0]])
@@ -179,9 +179,9 @@ class TestPukfUpdate:
             # each intermediate posterior shrinks as well
             prev = prior.cov
             for rnd in trace.rounds:
-                gap = prev - rnd.posterior.cov
+                gap = prev - rnd.cov
                 assert np.linalg.eigvalsh(gap).min() > -1e-9
-                prev = rnd.posterior.cov
+                prev = rnd.cov
 
     def test_round_count_extremes(self):
         rng = np.random.default_rng(4)
@@ -276,7 +276,7 @@ class TestRoundInvariants:
         assert sum(trace.split_sizes) == d
         assert all(k >= 1 for k in trace.split_sizes)
         for rnd in trace.rounds:
-            w = np.linalg.eigvalsh(rnd.posterior.cov)
+            w = np.linalg.eigvalsh(rnd.cov)
             assert w[0] >= -1e-9 * max(w[-1], 0.0)
 
 

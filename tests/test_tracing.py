@@ -77,12 +77,12 @@ def test_tracer_installs_counts_and_restores_the_package():
         # One innovation solve per Kalman correction: iekf@2 and ruf@2 make
         # two per update, pukf one per round.
         "core._solve_spd": 3 * (1 + 1 + 1 + 1 + 2 + 2) + rounds,
-        # The prior factor of ekf2n and ukf; pukf's noise factor per update
-        # and prior factor per round.
-        "core.matrix_sqrt": 3 + 3 + 3 + rounds,
-        # The scenario prior; per step 7 predictions and the 6 one-shot
-        # posteriors; pukf's belief after each round.
-        "core.GaussianState": 1 + 3 * (7 + 6) + rounds,
+        # The prior factor of ekf2n and ukf; pukf's prior factor per round
+        # (its noise factor is the model's own sqrt_noise).
+        "core.matrix_sqrt": 3 + 3 + rounds,
+        # The scenario prior; per step 7 predictions and 7 posteriors (pukf's
+        # rounds carry plain arrays).
+        "core.GaussianState": 1 + 3 * (7 + 7),
         "evaluation.ellipsoid_coverage": 7 * 3,
         "evaluation.error_quantiles": 7 * 3,
         # Truth: the initial state and process and measurement noise per
