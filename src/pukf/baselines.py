@@ -276,10 +276,18 @@ def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:
 def propagate_particles(
     particles: np.ndarray, state_model: LinearStateModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """Push particles through linear dynamics with sampled process noise."""
+    """Push particles through linear dynamics with sampled process noise:
+    the bits of ``particles @ F' + noise``, added into the new noise draw."""
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
-    noise = sample_gaussian(rng, state_model.noise_cov, particles.shape[0])
-    return particles @ state_model.transition.T + noise
+    moved = sample_gaussian(rng, state_model.noise_cov, particles.shape[0])
+    moved += particles @ state_model.transition.T
+    return moved
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every element is finite, from one sum (an overflow says no)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()))
 
 
 def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray:
@@ -288,14 +296,15 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     A particle whose predicted measurement overflows or is otherwise
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
     The quadratic form solves with LAPACK ``dpotrs`` against the model's
-    ``sqrt_noise``, the factor checked when the model was built.
+    ``sqrt_noise``, the factor checked when the model was built.  What
+    ``func`` returns is never written to: it may be the caller's array.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     with np.errstate(invalid="ignore"):
         residual = model.value - model.evaluate(particles)  # (N, d)
-    finite = np.isfinite(residual).all(axis=1)
-    every = finite.all()
+    every = _all_finite(residual)
     if not every:
+        finite = np.isfinite(residual).all(axis=1)
         residual = residual[finite]
     quad = np.empty(0)
     if residual.shape[0]:
@@ -323,15 +332,18 @@ def weight_particles(
     caller decides whether that step is a divergence.
     """
     particles = propagate_particles(cloud.particles, state_model, rng)
-    logw = log_likelihood(model, particles)
+    logw = log_likelihood(model, particles)  # a new array, weighted in place
     with np.errstate(divide="ignore"):  # a zero weight's log is -inf
-        logw = logw + np.log(cloud.weights)
-    finite = np.isfinite(logw)
-    if not np.any(finite):
-        return ParticleCloud.uniform(particles, degenerate=True)
-    shifted = logw - logw[finite].max()
-    weights = np.where(finite, np.exp(shifted), 0.0)
-    return ParticleCloud(particles, weights / weights.sum())
+        logw += np.log(cloud.weights)
+    if not _all_finite(logw):
+        finite = np.isfinite(logw)
+        if not np.any(finite):
+            return ParticleCloud.uniform(particles, degenerate=True)
+        logw[~finite] = -np.inf  # exp gives these the 0.0 of a zero weight
+    logw -= logw.max()
+    weights = np.exp(logw, out=logw)
+    weights /= weights.sum()
+    return ParticleCloud(particles, weights)
 
 
 def bootstrap_pf_step(

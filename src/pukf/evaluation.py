@@ -90,8 +90,9 @@ def ellipsoid_coverage(
 
 
 def _cells(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index of each value on evenly spaced edges, and whether it lies
-    in [edges[0], edges[-1]]; indices of values outside are meaningless.
+    """Cell index of each value on evenly spaced edges, and the indices of
+    the values outside [edges[0], edges[-1]], NaN included, looked for only
+    if a min and a max show some; cells of values outside are meaningless.
 
     The index comes from the uniform spacing and is then corrected by one
     comparison each way against the edges themselves, so it is the cell
@@ -99,13 +100,15 @@ def _cells(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cell for v == edges[-1].
     """
     cells = edges.size - 1
-    inside = (v >= edges[0]) & (v <= edges[-1])  # NaN is outside
+    outside = np.empty(0, np.intp)
+    if not (v.min() >= edges[0] and v.max() <= edges[-1]):
+        outside = np.nonzero(~((v >= edges[0]) & (v <= edges[-1])))[0]
     k = (v - edges[0]) * (cells / (edges[-1] - edges[0]))
-    k[~inside] = 0.0  # before the cast, which warns on NaN
+    k[outside] = 0.0  # before the cast, which warns on NaN
     k = np.minimum(k.astype(np.intp), cells - 1)
     k -= v < edges[k]
     k += v >= np.append(edges[1:-1], np.inf)[k]  # the last cell is closed
-    return k, inside
+    return k, outside
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,11 @@ class Grid2D:
         weights in particle order with one ``np.bincount``.
         """
         nx, ny = self.x_edges.size - 1, self.y_edges.size - 1
-        kx, in_x = _cells(cloud.particles[:, _PLANE[0]], self.x_edges)
-        ky, in_y = _cells(cloud.particles[:, _PLANE[1]], self.y_edges)
-        flat = kx * ny + ky
-        flat[~(in_x & in_y)] = nx * ny  # one dump bin for everything outside
+        x, y = (np.ascontiguousarray(cloud.particles[:, axis]) for axis in _PLANE)
+        (flat, out_x), (ky, out_y) = _cells(x, self.x_edges), _cells(y, self.y_edges)
+        flat *= ny
+        flat += ky
+        flat[out_x] = flat[out_y] = nx * ny  # one dump bin for everything outside
         mass = np.bincount(flat, cloud.weights, minlength=nx * ny + 1)
         mass = mass[:-1].reshape(nx, ny)
         inside = mass.sum()

@@ -13,7 +13,9 @@ produce the same bytes.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -22,6 +24,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -389,6 +392,32 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
     return record
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run with one thread in the OpenBLAS that numpy and scipy each bundle,
+    whose spinning pools compete for the cores as a step alternates between
+    them, and restore the counts on the way out; report bytes are the same."""
+    counts = []  # (set, previous count) of each library with both symbols
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        site = Path(__import__(package).__file__).parent.parent
+        for path in site.glob(f"{package}.libs/libscipy_openblas*.so"):
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
+                         for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                counts.append((set_, get()))
+    for set_, _ in counts:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, n in counts:
+            set_(n)
+
+
+@_one_blas_thread()
 def _run_payload(payload):
     """Process-pool entry point: rebuild the config and run one index."""
     cfg_dict, run_idx = payload
@@ -455,11 +484,7 @@ def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> Metric
 # Campaign driver with flush/resume.
 
 
-def _partial_path(out: str) -> str:
-    return out + ".runs.jsonl"
-
-
-def _load_partial(path: str, want_hash: str) -> dict:
+def _load_partial(path: str, want_hash: str, want_code: str) -> dict:
     done = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -471,7 +496,7 @@ def _load_partial(path: str, want_hash: str) -> dict:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn final line from an interrupted campaign
-                if entry.get("config_hash") == want_hash:
+                if entry.get("config_hash") == want_hash and entry.get("code") == want_code:
                     done[entry["record"]["run"]] = entry["record"]
     except FileNotFoundError:
         return {}
@@ -480,6 +505,7 @@ def _load_partial(path: str, want_hash: str) -> dict:
     return done
 
 
+@_one_blas_thread()
 def run_campaign(
     cfg: CampaignConfig, scenario_spec: Optional[ScenarioSpec] = None
 ) -> tuple[MetricsReport, list]:
@@ -489,7 +515,8 @@ def run_campaign(
     models); it forces serial execution since closures do not cross
     process boundaries.  When ``cfg.out`` is set, completed runs are
     appended to ``<out>.runs.jsonl`` as they finish and are reused by a
-    rerun of the same semantic config.
+    rerun of the same semantic config and package sources.  BLAS runs one
+    thread until the campaign returns.
     """
     spec = _resolve_scenario(cfg, scenario_spec)
 
@@ -497,8 +524,12 @@ def run_campaign(
     done = {}
     flush_fh = None
     if cfg.out:
-        partial = _partial_path(cfg.out)
-        done = _load_partial(partial, want_hash)
+        partial = cfg.out + ".runs.jsonl"
+        # A digest of the package's sources, kept out of the report's
+        # config_hash: a resume reuses only runs that this code computed.
+        sources = sorted(Path(__file__).parent.glob("*.py"))
+        code = hashlib.sha256(b"\0".join(p.read_bytes() for p in sources)).hexdigest()[:16]
+        done = _load_partial(partial, want_hash, code)
         try:
             flush_fh = open(partial, "a", encoding="utf-8")
         except OSError as exc:
@@ -509,9 +540,7 @@ def run_campaign(
 
     def flush(rec):
         if flush_fh is not None:
-            flush_fh.write(
-                json.dumps({"config_hash": want_hash, "record": rec}) + "\n"
-            )
+            flush_fh.write(json.dumps({"config_hash": want_hash, "code": code, "record": rec}) + "\n")
             flush_fh.flush()
 
     try:

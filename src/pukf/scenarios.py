@@ -35,10 +35,24 @@ __all__ = [
 
 
 def wrap_angle(theta):
-    """Wrap angles to the half-open interval (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    wrapped = -((-theta + math.pi) % (2.0 * math.pi) - math.pi)
+    """Wrap angles to the half-open interval (-pi, pi]: the bits of
+    ``-((-theta + pi) % (2 pi) - pi)``, computed on a copy of ``theta``."""
+    wrapped = _wrap_in_place(np.array(theta, dtype=float))
     return wrapped if wrapped.ndim else float(wrapped)
+
+
+def _wrap_in_place(t: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of the C-contiguous ``t``, written into it.  The
+    remainder runs only where ``pi - t`` is outside [0, 2 pi), NaN included
+    (inside, x % 2pi is x), and not at all when a min and a max show none."""
+    np.negative(t, out=t)
+    t += math.pi
+    if t.size and not (t.min() >= 0.0 and t.max() < 2.0 * math.pi):
+        flat = t.reshape(-1)  # a view
+        outside = np.nonzero(~((flat >= 0.0) & (flat < 2.0 * math.pi)))[0]
+        flat[outside] = np.remainder(flat[outside], 2.0 * math.pi)
+    t -= math.pi
+    return np.negative(t, out=t)
 
 
 @dataclass(frozen=True)
@@ -54,10 +68,6 @@ class ScenarioSpec:
     state_model: LinearStateModel
     measurement_generator: Callable[[np.ndarray, np.random.Generator], MeasurementModel]
     steps: int = 10
-
-    @property
-    def dim(self) -> int:
-        return self.prior.dim
 
 
 class SimStep(NamedTuple):
@@ -159,11 +169,11 @@ def scenario_polynomial(steps: int = 10) -> ScenarioSpec:
 
 
 def _bearings_raw(xs, sensors):
-    """Bearing of each position in ``xs`` (N, >=2) from each sensor, (N, s)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    dx = xs[:, 0][:, None] - sensors[:, 0][None, :]
-    dy = xs[:, 1][:, None] - sensors[:, 1][None, :]
-    return np.arctan2(dy, dx)
+    """Bearing of each position in ``xs`` (N, >=2) from each sensor, (s, N)."""
+    xs = np.asarray(xs, dtype=float)
+    dx = xs[:, 0] - sensors[:, 0, None]
+    dy = xs[:, 1] - sensors[:, 1, None]
+    return np.arctan2(dy, dx, out=dy)
 
 
 def _bearings_model(sensors: np.ndarray, noise_cov: np.ndarray, value: np.ndarray):
@@ -171,12 +181,16 @@ def _bearings_model(sensors: np.ndarray, noise_cov: np.ndarray, value: np.ndarra
 
     Each component returns the bearing shifted by the multiple of 2*pi
     that lands closest to the realized measurement, so residuals and probe
-    differences never jump across the cut.
+    differences never jump across the cut.  ``func`` has the bits of
+    ``value + wrap_angle(bearings - value)``, in a new C-contiguous array.
     """
 
     def func(xs):
-        raw = _bearings_raw(np.asarray(xs)[:, :2], sensors)
-        return value[None, :] + wrap_angle(raw - value[None, :])
+        angle = _bearings_raw(xs, sensors)
+        angle -= value[:, None]
+        out = np.empty(angle.shape[::-1])
+        np.add(_wrap_in_place(angle), value[:, None], out=out.T)
+        return out
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
@@ -221,7 +235,7 @@ def _bearings_scenario(
     noise_cov = sigma * sigma * np.eye(sensors.shape[0])
 
     def generator(truth, rng, _sensors=sensors, _noise=noise_cov):
-        raw = _bearings_raw(truth[None, :2], _sensors)[0]
+        raw = _bearings_raw(truth[None], _sensors)[:, 0]
         value = raw + rng.normal(0.0, sigma, size=_sensors.shape[0])
         return _bearings_model(_sensors, _noise, value)
 

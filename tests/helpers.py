@@ -39,6 +39,13 @@ def random_quadratic(rng, n, d, curvature=1.0):
     return func, jacobian, hessians
 
 
+def same_bits(got, want):
+    """Equal shapes and equal float64 bits, NaN payloads and signed zeros included."""
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
+
+
 def pointwise(func):
     """The (N, n) -> (N, d) map that calls a per-point ``func`` on each row."""
     return lambda xs: np.array([np.atleast_1d(func(x)) for x in xs], dtype=float)

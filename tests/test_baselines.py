@@ -20,6 +20,7 @@ from pukf import (
     ekf_update,
     iekf_update,
     log_likelihood,
+    propagate_particles,
     resample,
     ruf_update,
     sample_gaussian,
@@ -29,7 +30,7 @@ from pukf import (
     weight_particles,
 )
 
-from helpers import kalman_update, pointwise, random_quadratic, random_spd
+from helpers import kalman_update, pointwise, random_quadratic, random_spd, same_bits
 
 
 def linear_model(h_mat, noise, value):
@@ -546,7 +547,109 @@ class TestBootstrapPfStep:
         np.testing.assert_allclose(out.weights, 0.01)
 
 
+def masked_weight_particles(cloud, state_model, model, rng):
+    """The weighting that weight_particles replaced: every step through the
+    finiteness mask.  Returns (particles, weights), weights None if degenerate."""
+    particles = cloud.particles @ state_model.transition.T + sample_gaussian(
+        rng, state_model.noise_cov, cloud.particles.shape[0]
+    )
+    logw = cho_log_likelihood(model, particles)
+    with np.errstate(divide="ignore"):
+        logw = logw + np.log(cloud.weights)
+    finite = np.isfinite(logw)
+    if not np.any(finite):
+        return particles, None
+    shifted = logw - logw[finite].max()
+    weights = np.where(finite, np.exp(shifted), 0.0)
+    return particles, weights / weights.sum()
+
+
+def random_dynamics(rng, n):
+    return LinearStateModel(
+        transition=np.eye(n) + 0.3 * rng.normal(size=(n, n)),
+        noise_cov=random_spd(rng, n, scale=0.1),
+    )
+
+
+class TestPropagateParticles:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        count=st.sampled_from([1, 15, 30, 5000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_product_plus_noise(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        dynamics = random_dynamics(rng, n)
+        particles = rng.normal(scale=3.0, size=(count, n))
+        copy = particles.copy()
+        got_rng, want_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+        got = propagate_particles(particles, dynamics, got_rng)
+        want = particles @ dynamics.transition.T + sample_gaussian(
+            want_rng, dynamics.noise_cov, count
+        )
+        assert same_bits(got, want)
+        assert same_bits(particles, copy)
+        assert got_rng.random() == want_rng.random()
+
+
 class TestWeightParticles:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        count=st.sampled_from([1, 15, 30, 5000]),
+        weights_kind=st.sampled_from(["uniform", "random", "zeros"]),
+        bad=st.sampled_from([0.0, 0.0, 0.05, 1.0]),
+        scale=st.sampled_from([1.0, 1.0, 1e153]),  # 1e153: the log-weight sum overflows
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_masked_path(
+        self, n, d, count, weights_kind, bad, scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        h_mat = rng.normal(size=(d, n))
+        model = MeasurementModel(
+            func=lambda x: x @ h_mat.T,
+            value=scale * rng.normal(size=d),
+            noise_cov=random_spd(rng, d),
+        )
+        particles = rng.normal(size=(count, n))
+        rows = rng.random(count) < bad
+        particles[rows, rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf], size=rows.sum())
+        weights = np.full(count, 1.0) if weights_kind == "uniform" else rng.random(count)
+        if weights_kind == "zeros":
+            weights[rng.random(count) < 0.3] = 0.0
+            weights[rng.integers(count)] = 1.0
+        cloud = ParticleCloud(particles, weights / weights.sum())
+        dynamics = random_dynamics(rng, n)
+        got_rng, want_rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        got = weight_particles(cloud, dynamics, model, got_rng)
+        want_particles, want_weights = masked_weight_particles(cloud, dynamics, model, want_rng)
+        assert same_bits(got.particles, want_particles)
+        assert got.degenerate == (want_weights is None)
+        if want_weights is not None:
+            assert same_bits(got.weights, want_weights)
+
+    def test_identity_map_leaves_every_input_alone(self):
+        # func returns its own input, so an in-place residual or weighting
+        # would write into the particles the caller and the cloud hold.
+        rng = np.random.default_rng(19)
+        model = MeasurementModel(func=lambda x: x, value=[0.3, -0.2], noise_cov=np.eye(2))
+        particles = rng.normal(size=(500, 2))
+        weights = rng.random(500)
+        cloud = ParticleCloud(particles, weights / weights.sum())
+        kept = [a.copy() for a in (particles, cloud.weights, model.value)]
+
+        log_likelihood(model, particles)
+        dynamics = LinearStateModel(transition=np.eye(2), noise_cov=0.1 * np.eye(2))
+        out = weight_particles(cloud, dynamics, model, np.random.default_rng(20))
+        moved = propagate_particles(particles, dynamics, np.random.default_rng(20))
+
+        for array, before in zip((particles, cloud.weights, model.value), kept):
+            assert same_bits(array, before)
+        assert same_bits(out.particles, moved)
+
     def test_zero_weight_particle_stays_at_zero_without_a_warning(self):
         rng = np.random.default_rng(18)
         cloud = ParticleCloud(rng.normal(size=(3, 1)), np.array([0.5, 0.5, 0.0]))

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -340,6 +341,28 @@ class TestRunCampaign:
             # the two salvaged runs were not redone: 2 kept + 2 new lines
             assert len(partial_path.read_text().splitlines()) == 4, name
 
+    def test_resume_recomputes_runs_of_other_code(self, tmp_path):
+        out = str(tmp_path / "report.csv")
+        cfg = CampaignConfig(
+            scenario="polynomial", filters=("pukf@1", "ekf"), runs=3, steps=2, seed=3, out=out
+        )
+        fresh, _ = run_campaign(dataclasses.replace(cfg, out=None))
+        run_campaign(cfg)
+        partial_path = Path(out + ".runs.jsonl")
+        # the same config hash, but stored by other code and with other numbers
+        lines = []
+        for line in partial_path.read_text().splitlines():
+            entry = json.loads(line)
+            assert len(entry["code"]) == 16
+            entry["code"] = "0" * 16
+            for rec in entry["record"]["filters"].values():
+                rec["errors"] = [e + 1.0 for e in rec["errors"]]
+            lines.append(json.dumps(entry))
+        partial_path.write_text("\n".join(lines) + "\n")
+        resumed, _ = run_campaign(cfg)
+        assert _report_csv(resumed) == _report_csv(fresh)
+        assert len(partial_path.read_text().splitlines()) == 6  # all three redone
+
     def test_resume_ignores_other_configs(self, tmp_path):
         out = str(tmp_path / "report.csv")
         cfg_a = CampaignConfig(
@@ -356,6 +379,70 @@ class TestRunCampaign:
             )
         )
         assert _report_csv(report_b) == _report_csv(fresh)
+
+
+def bundled_blas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled in
+    numpy.libs (64-bit interface) and scipy.libs, where they exist."""
+    found = []
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        site = Path(__import__(package).__file__).parent.parent
+        for path in site.glob(f"{package}.libs/libscipy_openblas*.so"):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+    return found
+
+
+class TestBlasThreads:
+    """run_campaign runs each bundled OpenBLAS with one thread and restores
+    the previous counts when it returns and when it raises."""
+
+    def counts(self):
+        found = bundled_blas_threads()
+        if not found:
+            pytest.skip("no bundled OpenBLAS with thread-count symbols here")
+        return found
+
+    def spec_seeing_threads(self, seen, fail=False):
+        counts = self.counts()
+        base = linear_scenario(steps=2)[0]
+
+        def generator(truth, rng):
+            seen.append([get() for get, _ in counts])
+            if fail:
+                raise RuntimeError("generator failed")
+            return base.measurement_generator(truth, rng)
+
+        return dataclasses.replace(base, measurement_generator=generator)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_one_thread_inside_and_restored_after(self, fail):
+        counts = self.counts()
+        original = [get() for get, _ in counts]
+        seen = []
+        spec = self.spec_seeing_threads(seen, fail=fail)
+        cfg = CampaignConfig(scenario="linear", filters=("ekf",), runs=2, steps=2)
+        try:
+            for _, set_ in counts:
+                set_(2)
+            if fail:
+                with pytest.raises(RuntimeError, match="generator failed"):
+                    run_campaign(cfg, spec)
+            else:
+                run_campaign(cfg, spec)
+            after = [get() for get, _ in counts]
+        finally:
+            for (_, set_), n in zip(counts, original):
+                set_(n)
+        assert seen and all(inside == [1] * len(counts) for inside in seen)
+        assert after == [2] * len(counts)
 
 
 class TestReports:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -16,6 +18,9 @@ from pukf import (
     simulate_truth,
     wrap_angle,
 )
+from pukf.scenarios import _bearings_model
+
+from helpers import same_bits
 
 
 def at_point(func):
@@ -53,7 +58,45 @@ def fd_hessians(func, x, eps=1e-4):
     return hes
 
 
+def old_wrap_angle(theta):
+    """The wrap expression that wrap_angle and the bearings map replaced."""
+    return -((-theta + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def old_bearings_func(xs, sensors, value):
+    """The (N, s)-layout bearings map that the sensor-major one replaced."""
+    dx = xs[:, 0][:, None] - sensors[:, 0][None, :]
+    dy = xs[:, 1][:, None] - sensors[:, 1][None, :]
+    return value[None, :] + old_wrap_angle(np.arctan2(dy, dx) - value[None, :])
+
+
+# Angles on and around the wrap's cut points, and signed zeros.
+SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi,
+                  np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0), 1e-300, -1e-300]
+
+
 class TestWrapAngle:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        size=st.sampled_from([1, 2, 15, 30, 5000]),
+        scale=st.sampled_from([1.0, 4.0, 1e3, 1e17]),
+        special=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_expression(self, size, scale, special, seed):
+        rng = np.random.default_rng(seed)
+        theta = scale * rng.uniform(-1.0, 1.0, size=size)
+        hit = rng.random(size) < special
+        theta[hit] = rng.choice(SPECIAL_ANGLES + [np.nan, np.inf, -np.inf], size=hit.sum())
+        copy = theta.copy()
+        with np.errstate(invalid="ignore"):  # inf % 2pi is NaN, and warns
+            got, want = wrap_angle(theta), old_wrap_angle(theta)
+            scalars = [wrap_angle(float(t)) for t in theta[:3]]
+        assert same_bits(got, want)
+        assert same_bits(theta, copy)  # the caller's array is left alone
+        assert all(type(v) is float for v in scalars)
+        assert same_bits(np.array(scalars), want[:3])
+
     def test_interval_is_half_open(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
@@ -219,6 +262,40 @@ class TestBearingsScenarios:
         np.testing.assert_allclose(raw.std(axis=0), sigma, rtol=0.02)
         np.testing.assert_allclose(spec.measurement_generator(truth, rng).noise_cov,
                                    sigma * sigma * np.eye(2), atol=1e-15)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        count=st.sampled_from([1, 15, 30, 5000]),
+        sensors=st.integers(1, 3),
+        spread=st.sampled_from([1e-3, 3.0, 40.0]),
+        value_kind=st.sampled_from(["bearing", "wide", "special"]),
+        bad=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_func_has_the_bits_of_the_old_map(
+        self, count, sensors, spread, value_kind, bad, seed
+    ):
+        rng = np.random.default_rng(seed)
+        where = rng.normal(scale=10.0, size=(sensors, 2))
+        if value_kind == "bearing":
+            value = rng.uniform(-math.pi, math.pi, size=sensors)
+        elif value_kind == "wide":  # outside [-pi, pi]
+            value = rng.choice([-1.0, 1.0], size=sensors) * rng.uniform(math.pi, 20.0, size=sensors)
+        else:
+            value = rng.choice(SPECIAL_ANGLES, size=sensors)
+        model = _bearings_model(where, np.eye(sensors), value)
+        xs = np.empty((count, 4))
+        xs[:, :2] = where[rng.integers(sensors)] + spread * rng.normal(size=(count, 2))
+        xs[:, 2:] = rng.normal(size=(count, 2))
+        on = rng.random(count) < 0.05  # exactly at a sensor, with signed zeros
+        xs[on, :2] = where[rng.integers(sensors)]
+        rows = rng.random(count) < bad
+        xs[rows, rng.integers(2)] = rng.choice([np.nan, np.inf, -np.inf], size=rows.sum())
+        before = (xs.copy(), model.value.copy())
+        got = model.func(xs)
+        assert got.flags.c_contiguous
+        assert same_bits(got, old_bearings_func(xs, where, model.value))
+        assert same_bits(xs, before[0]) and same_bits(model.value, before[1])
 
     def test_branch_alignment_near_cut(self):
         # target just below the -x axis from the sensor: raw bearing is near
