@@ -280,8 +280,7 @@ def propagate_particles(
     the bits of ``particles @ F' + noise``, added into the new noise draw."""
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     moved = sample_gaussian(rng, state_model.noise_cov, particles.shape[0])
-    moved += particles @ state_model.transition.T
-    return moved
+    return np.add(moved, particles @ state_model.transition.T, out=moved)
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -90,9 +90,8 @@ def ellipsoid_coverage(
 
 
 def _cells(v: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell index of each value on evenly spaced edges, and the indices of
-    the values outside [edges[0], edges[-1]], NaN included, looked for only
-    if a min and a max show some; cells of values outside are meaningless.
+    """Cell index of each value on evenly spaced edges, and the indices of the
+    values outside [edges[0], edges[-1]] (NaN too); their cells are meaningless.
 
     The index comes from the uniform spacing and is then corrected by one
     comparison each way against the edges themselves, so it is the cell

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import baselines
 from .core import GaussianState
@@ -394,23 +395,19 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run with one thread in the OpenBLAS that numpy and scipy each bundle,
-    whose spinning pools compete for the cores as a step alternates between
-    them, and restore the counts on the way out; report bytes are the same."""
+    """Hold the OpenBLAS that numpy and scipy each bundle, whose spinning pools
+    compete for the cores, at one thread; restore the counts on the way out."""
     counts = []  # (set, previous count) of each library with both symbols
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        site = Path(__import__(package).__file__).parent.parent
-        for path in site.glob(f"{package}.libs/libscipy_openblas*.so"):
-            lib = ctypes.CDLL(str(path))
-            get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
-                         for op in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                counts.append((set_, get()))
-    for set_, _ in counts:
-        set_(1)
     try:
+        for package, suffix in (("numpy", "64_"), ("scipy", "")):
+            libs = Path(__import__(package).__file__).parents[1] / f"{package}.libs"
+            for path in libs.glob("libscipy_openblas*.so"):
+                lib = ctypes.CDLL(str(path))  # functions take and return C ints
+                get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
+                             for op in ("get", "set"))
+                if get is not None and set_ is not None:
+                    counts.append((set_, get()))
+                    set_(1)
         yield
     finally:
         for set_, n in counts:
@@ -484,6 +481,10 @@ def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> Metric
 # Campaign driver with flush/resume.
 
 
+def _partial_path(out: str) -> str:
+    return out + ".runs.jsonl"
+
+
 def _load_partial(path: str, want_hash: str, want_code: str) -> dict:
     done = {}
     try:
@@ -515,8 +516,7 @@ def run_campaign(
     models); it forces serial execution since closures do not cross
     process boundaries.  When ``cfg.out`` is set, completed runs are
     appended to ``<out>.runs.jsonl`` as they finish and are reused by a
-    rerun of the same semantic config and package sources.  BLAS runs one
-    thread until the campaign returns.
+    rerun of the same semantic config and code, with BLAS on one thread.
     """
     spec = _resolve_scenario(cfg, scenario_spec)
 
@@ -524,16 +524,17 @@ def run_campaign(
     done = {}
     flush_fh = None
     if cfg.out:
-        partial = cfg.out + ".runs.jsonl"
-        # A digest of the package's sources, kept out of the report's
-        # config_hash: a resume reuses only runs that this code computed.
-        sources = sorted(Path(__file__).parent.glob("*.py"))
-        code = hashlib.sha256(b"\0".join(p.read_bytes() for p in sources)).hexdigest()[:16]
-        done = _load_partial(partial, want_hash, code)
+        partial = _partial_path(cfg.out)
+        # A resume reuses only runs of this code: a digest of the package's sources
+        # and numpy's and scipy's versions (BLAS moves bits), kept out of config_hash.
         try:
+            keyed = [p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py"))]
+            keyed += [np.__version__.encode(), scipy.__version__.encode()]
+            code = hashlib.sha256(b"\0".join(keyed)).hexdigest()[:16]
+            done = _load_partial(partial, want_hash, code)
             flush_fh = open(partial, "a", encoding="utf-8")
         except OSError as exc:
-            raise ReportIoError(f"cannot open {partial!r} for append: {exc}") from None
+            raise ReportIoError(f"cannot read the package or open {partial!r}: {exc}") from None
 
     pending = [i for i in range(cfg.runs) if i not in done]
     records = [done[i] for i in sorted(done) if i < cfg.runs]

@@ -35,22 +35,20 @@ __all__ = [
 
 
 def wrap_angle(theta):
-    """Wrap angles to the half-open interval (-pi, pi]: the bits of
-    ``-((-theta + pi) % (2 pi) - pi)``, computed on a copy of ``theta``."""
+    """Wrap angles to (-pi, pi], on a copy: the bits of ``-((-theta + pi) % (2 pi) - pi)``."""
     wrapped = _wrap_in_place(np.array(theta, dtype=float))
     return wrapped if wrapped.ndim else float(wrapped)
 
 
 def _wrap_in_place(t: np.ndarray) -> np.ndarray:
-    """:func:`wrap_angle` of the C-contiguous ``t``, written into it.  The
+    """:func:`wrap_angle` of ``t`` (any layout), written into it.  The
     remainder runs only where ``pi - t`` is outside [0, 2 pi), NaN included
     (inside, x % 2pi is x), and not at all when a min and a max show none."""
     np.negative(t, out=t)
     t += math.pi
     if t.size and not (t.min() >= 0.0 and t.max() < 2.0 * math.pi):
-        flat = t.reshape(-1)  # a view
-        outside = np.nonzero(~((flat >= 0.0) & (flat < 2.0 * math.pi)))[0]
-        flat[outside] = np.remainder(flat[outside], 2.0 * math.pi)
+        outside = np.flatnonzero(~((t >= 0.0) & (t < 2.0 * math.pi)))  # C order
+        t.put(outside, np.remainder(t.take(outside), 2.0 * math.pi))
     t -= math.pi
     return np.negative(t, out=t)
 
@@ -68,6 +66,10 @@ class ScenarioSpec:
     state_model: LinearStateModel
     measurement_generator: Callable[[np.ndarray, np.random.Generator], MeasurementModel]
     steps: int = 10
+
+    @property
+    def dim(self) -> int:
+        return self.prior.dim
 
 
 class SimStep(NamedTuple):

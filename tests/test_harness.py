@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from pukf import (
     AnalyticMeasurementModel,
@@ -362,6 +363,21 @@ class TestRunCampaign:
         resumed, _ = run_campaign(cfg)
         assert _report_csv(resumed) == _report_csv(fresh)
         assert len(partial_path.read_text().splitlines()) == 6  # all three redone
+
+    @pytest.mark.parametrize("package", [np, scipy])
+    def test_resume_recomputes_runs_under_other_versions(self, tmp_path, monkeypatch, package):
+        # numpy's and scipy's BLAS paths can move report bits, so a run
+        # stored under other versions of either is not reused
+        cfg = CampaignConfig(
+            scenario="polynomial", filters=("ekf",), runs=2, steps=1, seed=3,
+            out=str(tmp_path / "report.csv"),
+        )
+        run_campaign(cfg)
+        monkeypatch.setattr(package, "__version__", "0.0.0")
+        run_campaign(cfg)
+        lines = Path(cfg.out + ".runs.jsonl").read_text().splitlines()
+        assert len(lines) == 4  # both runs redone
+        assert len({json.loads(line)["code"] for line in lines}) == 2
 
     def test_resume_ignores_other_configs(self, tmp_path):
         out = str(tmp_path / "report.csv")

@@ -82,20 +82,23 @@ class TestWrapAngle:
         scale=st.sampled_from([1.0, 4.0, 1e3, 1e17]),
         special=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        ndim=st.sampled_from([1, 2, 3]),
     )
-    def test_same_bits_as_the_expression(self, size, scale, special, seed):
+    def test_same_bits_as_the_expression(self, size, scale, special, seed, ndim):
         rng = np.random.default_rng(seed)
-        theta = scale * rng.uniform(-1.0, 1.0, size=size)
-        hit = rng.random(size) < special
+        # a C-ordered vector, a transposed matrix, or a 3-d array with permuted axes
+        shape, axes = {1: ((size,), (0,)), 2: ((2, size), (1, 0)), 3: ((size, 2, 3), (2, 0, 1))}[ndim]
+        theta = (scale * rng.uniform(-1.0, 1.0, size=shape)).transpose(axes)
+        hit = rng.random(theta.shape) < special
         theta[hit] = rng.choice(SPECIAL_ANGLES + [np.nan, np.inf, -np.inf], size=hit.sum())
         copy = theta.copy()
         with np.errstate(invalid="ignore"):  # inf % 2pi is NaN, and warns
             got, want = wrap_angle(theta), old_wrap_angle(theta)
-            scalars = [wrap_angle(float(t)) for t in theta[:3]]
+            scalars = [wrap_angle(float(t)) for t in theta.flat[:3]]
         assert same_bits(got, want)
         assert same_bits(theta, copy)  # the caller's array is left alone
         assert all(type(v) is float for v in scalars)
-        assert same_bits(np.array(scalars), want[:3])
+        assert same_bits(np.array(scalars), want.ravel()[:3])
 
     def test_interval_is_half_open(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
