@@ -80,7 +80,6 @@ from .linearization import (
 from .partitioned import (
     PartialUpdateRound,
     PartialUpdateTrace,
-    PukfConfig,
     pukf_update,
 )
 from .scenarios import (

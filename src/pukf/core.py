@@ -247,10 +247,9 @@ def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if asym > 1e-10 * scale:
         raise NonSymmetricInput(f"asymmetry {asym:.3e} exceeds 1e-10 relative tolerance")
     w, u = np.linalg.eigh(symmetrize(s))
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
+    if u.size:
+        flip = u[np.abs(u).argmax(axis=0), np.arange(len(u))] < 0.0
+        u *= np.where(flip, -1.0, 1.0)
     return u, w
 
 

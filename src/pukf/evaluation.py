@@ -32,10 +32,6 @@ __all__ = [
 
 DEFAULT_PROBS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
-# A gridded-KL estimate never drops meaningfully below zero; anything under
-# this floor indicates a broken reference or grid.
-KL_NOISE_FLOOR = -0.05
-
 _DENSITY_FLOOR = 1e-300
 
 # The KL grid covers the position plane (state dimensions 0 and 1) with

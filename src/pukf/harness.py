@@ -35,7 +35,7 @@ from .core import GaussianState
 from .errors import ConfigError, NonFiniteEvaluation, PukfError, ReportIoError
 from .evaluation import DEFAULT_PROBS, Grid2D, error_quantiles, ellipsoid_coverage, kl_divergence_mass
 from .linearization import ekf2_update_numerical
-from .partitioned import PukfConfig, pukf_update
+from .partitioned import pukf_update
 from .scenarios import (
     ScenarioSpec,
     scenario_bearings_far_near,
@@ -124,9 +124,7 @@ class _FilterEntry:
 
 FILTERS = {
     "pukf": _FilterEntry(
-        lambda t: _GaussianAdapter(
-            lambda s, m, cfg=PukfConfig(threshold=t): pukf_update(s, m, cfg)[0]
-        ),
+        lambda t: _GaussianAdapter(lambda s, m: pukf_update(s, m, t)[0]),
         1.0, "threshold",
         "partitioned second-order update (param: nonlinearity threshold, "
         "accepts -inf/inf)",

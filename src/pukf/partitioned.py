@@ -29,28 +29,10 @@ from .decorrelation import decorrelate
 from .linearization import linearize
 
 __all__ = [
-    "PukfConfig",
     "PartialUpdateRound",
     "PartialUpdateTrace",
     "pukf_update",
 ]
-
-
-@dataclass(frozen=True)
-class PukfConfig:
-    """The partitioned update's one tuning choice.
-
-    threshold is the extended-real nonlinearity cutoff (default 1.0: accept
-    transformed elements whose nonlinearity is at most the noise floor).
-    -inf takes one transformed element per round; +inf takes the whole
-    measurement in one second-order update.
-    """
-
-    threshold: float = 1.0
-
-    def __post_init__(self):
-        if np.isnan(self.threshold):
-            raise ValueError("threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -82,9 +64,15 @@ class PartialUpdateTrace:
 def pukf_update(
     prior: GaussianState,
     model: MeasurementModel,
-    config: PukfConfig = PukfConfig(),
+    threshold: float = 1.0,
 ) -> tuple[GaussianState, PartialUpdateTrace]:
     """Apply one measurement through partitioned second-order updates.
+
+    ``threshold`` is the extended-real nonlinearity cutoff, the update's one
+    tuning choice (default 1.0: accept transformed elements whose
+    nonlinearity is at most the noise floor).  -inf takes one transformed
+    element per round; +inf takes the whole measurement in one second-order
+    update.  A NaN threshold raises ValueError.
 
     Returns the posterior belief and a trace with one entry per round.
     The sum of the per-round block sizes always equals the measurement
@@ -92,6 +80,8 @@ def pukf_update(
     carry plain arrays, and the posterior is the one ``GaussianState``
     built.
     """
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     mean = prior.mean
     cov = prior.cov
     sqrt_noise = model.sqrt_noise
@@ -102,7 +92,7 @@ def pukf_update(
     while len(rows):
         sqrt_p = matrix_sqrt(cov)
         lin = linearize(model.evaluate, mean, sqrt_p)
-        dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, config.threshold)
+        dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, threshold)
         k = dec.split_k
         head = dec.D[:k] @ rows
 

@@ -23,7 +23,6 @@ from pukf import (
     LinearStateModel,
     MeasurementModel,
     ParticleCloud,
-    PukfConfig,
     bootstrap_pf_step,
     decorrelate,
     ekf2_update_analytic,
@@ -135,7 +134,7 @@ def test_01_worked_example_goldens():
     # Partitioned update: the linear combination is consumed first and
     # yields the exact conditional; the remaining element's nonlinearity
     # drops from 8 to 8/9.
-    post, trace = pukf_update(prior, model, PukfConfig(threshold=1.0))
+    post, trace = pukf_update(prior, model, threshold=1.0)
     assert len(trace.rounds) == 2
     first, second = trace.rounds
     np.testing.assert_allclose(first.lambdas, [0.0, 8.0], atol=1e-8)
@@ -244,7 +243,7 @@ def test_04_threshold_limit_identities():
         d = int(rng.integers(1, 4))
         prior, model = _random_quadratic(rng, n, d)
         one_shot = ekf2_update_numerical(prior, model)
-        post, trace = pukf_update(prior, model, PukfConfig(threshold=np.inf))
+        post, trace = pukf_update(prior, model, threshold=np.inf)
         assert len(trace.rounds) == 1
         np.testing.assert_allclose(post.mean, one_shot.mean, atol=1e-9)
         np.testing.assert_allclose(post.cov, one_shot.cov, atol=1e-9)
@@ -256,7 +255,7 @@ def test_04_threshold_limit_identities():
         prior, model, H, b = _random_linear(rng, n, d)
         exact = _kalman_update(prior, H, b, model.value, model.noise_cov)
         for threshold in thresholds:
-            post, _ = pukf_update(prior, model, PukfConfig(threshold=threshold))
+            post, _ = pukf_update(prior, model, threshold=threshold)
             np.testing.assert_allclose(post.mean, exact.mean, atol=1e-9)
             np.testing.assert_allclose(post.cov, exact.cov, atol=1e-9)
 

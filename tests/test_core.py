@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 from pukf import (
@@ -14,7 +16,7 @@ from pukf import (
     matrix_sqrt,
     sym_eig_ascending,
 )
-from pukf.core import _solve_spd
+from pukf.core import _solve_spd, symmetrize
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pukf"
 
@@ -107,6 +109,27 @@ class TestSymEigAscending:
             for j in range(5):
                 i = np.argmax(np.abs(u[:, j]))
                 assert u[i, j] > 0.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+    )
+    def test_sign_flip_matches_per_column_loop(self, n, seed, integer):
+        # Oracle: the per-column loop the one vectorized flip replaced.
+        # Small integer matrices force ties in |u|; the first occurrence wins.
+        rng = np.random.default_rng(seed)
+        s = rng.integers(-2, 3, size=(n, n)) if integer else rng.normal(size=(n, n))
+        s = symmetrize(s.astype(float))
+        u, w = sym_eig_ascending(s)
+        want_w, want = np.linalg.eigh(symmetrize(s))
+        for j in range(want.shape[1]):
+            i = int(np.argmax(np.abs(want[:, j])))
+            if want[i, j] < 0.0:
+                want[:, j] = -want[:, j]
+        assert u.tobytes() == want.tobytes()
+        assert w.tobytes() == want_w.tobytes()
 
     def test_asymmetric_raises(self):
         with pytest.raises(NonSymmetricInput):

@@ -501,25 +501,36 @@ class TestReports:
             report.value("ekf", "no_such_metric")
 
 
-# The report of a small particle-reference campaign, written before the
+# Reports of two small campaigns, each written by
+#   pukf-bench run --scenario <scenario> --filters <filters>
+#       --runs 2 --steps 4 --seed 1 [--ref-particles 20000] --out <file>
+# The bearings report with the particle reference was written before the
 # reference kernels were rewritten (histogram2d binning, searchsorted
-# resampling, multivariate_normal draws, cho_solve weights) by
-#   pukf-bench run --scenario bearings_far_near --filters <GOLDEN_FILTERS>
-#       --runs 2 --steps 4 --seed 1 --ref-particles 20000 --out <file>
-GOLDEN_REPORT = Path(__file__).parent / "data" / "bearings_far_near_ref_small.csv"
-GOLDEN_FILTERS = (
-    "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf2", "ruf@3", "ruf@10", "ukf",
-)
+# resampling, multivariate_normal draws, cho_solve weights); the polynomial
+# report pins the 6-d filter path (pukf@-inf's six rounds, ekf2n, iekf).
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_CAMPAIGNS = {
+    "bearings_far_near_ref_small.csv": dict(
+        scenario="bearings_far_near",
+        filters=(
+            "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf2", "ruf@3", "ruf@10",
+            "ukf",
+        ),
+        ref_particles=20_000,
+    ),
+    "polynomial_small.csv": dict(
+        scenario="polynomial",
+        filters=("pukf@0.1", "pukf@1", "pukf@-inf", "ekf2n", "ekf", "iekf@10", "ukf"),
+    ),
+}
 
 
-def test_reference_campaign_report_is_byte_identical(tmp_path):
-    cfg = CampaignConfig(
-        scenario="bearings_far_near", filters=GOLDEN_FILTERS,
-        runs=2, steps=4, seed=1, ref_particles=20_000,
-    )
+@pytest.mark.parametrize("golden", list(GOLDEN_CAMPAIGNS))
+def test_reference_campaign_report_is_byte_identical(tmp_path, golden):
+    cfg = CampaignConfig(runs=2, steps=4, seed=1, **GOLDEN_CAMPAIGNS[golden])
     report, _ = run_campaign(cfg)
     out = emit_report(report, str(tmp_path / "report.csv"))
-    assert Path(out).read_bytes() == GOLDEN_REPORT.read_bytes()
+    assert Path(out).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestCli:

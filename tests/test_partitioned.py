@@ -8,7 +8,6 @@ from pukf import (
     GaussianState,
     LinearStateModel,
     MeasurementModel,
-    PukfConfig,
     ekf2_update_numerical,
     linearize,
     matrix_sqrt,
@@ -92,7 +91,7 @@ class TestPukfUpdate:
         model = MeasurementModel(
             func=lambda x: x @ h_mat.T, value=value, noise_cov=noise
         )
-        post, trace = pukf_update(prior, model, PukfConfig(threshold=threshold))
+        post, trace = pukf_update(prior, model, threshold=threshold)
         want_mean, want_cov = kalman_update(prior.mean, prior.cov, h_mat, noise, value)
         np.testing.assert_allclose(post.mean, want_mean, atol=1e-9)
         np.testing.assert_allclose(post.cov, want_cov, atol=1e-9)
@@ -112,7 +111,7 @@ class TestPukfUpdate:
             model = MeasurementModel(
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
             )
-            post, trace = pukf_update(prior, model, PukfConfig(threshold=np.inf))
+            post, trace = pukf_update(prior, model, threshold=np.inf)
             full = ekf2_update_numerical(prior, model)
             assert trace.n_rounds == 1
             np.testing.assert_allclose(post.mean, full.mean, atol=1e-10)
@@ -120,7 +119,7 @@ class TestPukfUpdate:
 
     def test_worked_example_trace(self):
         prior = GaussianState([1.0], [[1.0]])
-        post, trace = pukf_update(prior, example_model(), PukfConfig(threshold=1.0))
+        post, trace = pukf_update(prior, example_model(), threshold=1.0)
         assert trace.n_rounds == 2
         assert trace.split_sizes == (1, 1)
 
@@ -138,8 +137,7 @@ class TestPukfUpdate:
         prior = GaussianState([1.0], [[1.0]])
         model = example_model()
         for threshold in (-np.inf, 0.1, 1.0, 10.0, np.inf):
-            cfg = PukfConfig(threshold=threshold)
-            post, trace = pukf_update(prior, model, cfg)
+            post, trace = pukf_update(prior, model, threshold=threshold)
             want, ref = reference_partitioned(prior, model, threshold)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-9)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-9)
@@ -156,8 +154,7 @@ class TestPukfUpdate:
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
             )
             threshold = float(rng.uniform(0.0, 3.0))
-            cfg = PukfConfig(threshold=threshold)
-            post, trace = pukf_update(prior, model, cfg)
+            post, trace = pukf_update(prior, model, threshold=threshold)
             want, ref = reference_partitioned(prior, model, threshold)
             np.testing.assert_allclose(post.mean, want.mean, atol=1e-8)
             np.testing.assert_allclose(post.cov, want.cov, atol=1e-8)
@@ -173,7 +170,7 @@ class TestPukfUpdate:
             model = MeasurementModel(
                 func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
             )
-            post, trace = pukf_update(prior, model, PukfConfig(threshold=0.5))
+            post, trace = pukf_update(prior, model, threshold=0.5)
             gap = prior.cov - post.cov
             assert np.linalg.eigvalsh(gap).min() > -1e-9
             # each intermediate posterior shrinks as well
@@ -190,9 +187,9 @@ class TestPukfUpdate:
         model = MeasurementModel(
             func=func, value=rng.normal(size=5), noise_cov=random_spd(rng, 5)
         )
-        _, one_round = pukf_update(prior, model, PukfConfig(threshold=np.inf))
+        _, one_round = pukf_update(prior, model, threshold=np.inf)
         assert one_round.split_sizes == (5,)
-        _, one_by_one = pukf_update(prior, model, PukfConfig(threshold=-np.inf))
+        _, one_by_one = pukf_update(prior, model, threshold=-np.inf)
         assert one_by_one.split_sizes == (1, 1, 1, 1, 1)
 
     def test_scalar_valued_function(self):
@@ -206,17 +203,22 @@ class TestPukfUpdate:
         )
         flat = MeasurementModel(func=lambda xs: xs[:, 0] ** 2 + xs[:, 1], **fields)
         for threshold in (-np.inf, np.inf):
-            cfg = PukfConfig(threshold=threshold)
-            got, _ = pukf_update(prior, scalar, cfg)
-            want, _ = pukf_update(prior, column, cfg)
+            got, _ = pukf_update(prior, scalar, threshold=threshold)
+            want, _ = pukf_update(prior, column, threshold=threshold)
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
             with pytest.raises(ValueError, match="shape"):
-                pukf_update(prior, flat, cfg)
+                pukf_update(prior, flat, threshold=threshold)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PukfConfig(threshold=np.nan)
+        # the threshold is an extended real with default 1.0; NaN is no cutoff
+        prior = GaussianState([1.0], [[1.0]])
+        default, _ = pukf_update(prior, example_model())
+        explicit, _ = pukf_update(prior, example_model(), threshold=1.0)
+        np.testing.assert_array_equal(default.mean, explicit.mean)
+        np.testing.assert_array_equal(default.cov, explicit.cov)
+        with pytest.raises(ValueError, match="NaN"):
+            pukf_update(prior, example_model(), threshold=np.nan)
 
 
 class TestMixingInvariance:
@@ -246,9 +248,8 @@ class TestMixingInvariance:
         while np.linalg.cond(mix) > 1e2:
             mix = rng.normal(size=(d, d))
 
-        cfg = PukfConfig(threshold=threshold)
-        want, _ = pukf_update(prior, model, cfg)
-        got, _ = pukf_update(prior, transform_model(model, mix), cfg)
+        want, _ = pukf_update(prior, model, threshold=threshold)
+        got, _ = pukf_update(prior, transform_model(model, mix), threshold=threshold)
         for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
             scale = 1.0 + np.abs(b).max()
             assert np.abs(a - b).max() / scale < 1e-7
@@ -272,7 +273,7 @@ class TestRoundInvariants:
         model = MeasurementModel(
             func=func, value=rng.normal(size=d), noise_cov=random_spd(rng, d)
         )
-        _, trace = pukf_update(prior, model, PukfConfig(threshold=threshold))
+        _, trace = pukf_update(prior, model, threshold=threshold)
         assert sum(trace.split_sizes) == d
         assert all(k >= 1 for k in trace.split_sizes)
         for rnd in trace.rounds:
@@ -297,9 +298,7 @@ class TestPukfStep:
         measurement = MeasurementModel(
             func=lambda x: x @ h_mat.T, value=value, noise_cov=r
         )
-        post, _ = pukf_update(
-            state_model.predict(prior), measurement, PukfConfig(threshold=1.0)
-        )
+        post, _ = pukf_update(state_model.predict(prior), measurement, threshold=1.0)
 
         pred_mean = f_mat @ prior.mean
         pred_cov = f_mat @ prior.cov @ f_mat.T + w
@@ -310,9 +309,9 @@ class TestPukfStep:
     def test_identity_dynamics_reduce_to_update(self):
         prior = GaussianState([1.0], [[1.0]])
         state_model = LinearStateModel(transition=np.eye(1), noise_cov=np.zeros((1, 1)))
-        cfg = PukfConfig(threshold=1.0)
-        stepped, _ = pukf_update(state_model.predict(prior), example_model(), cfg)
-        updated, _ = pukf_update(prior, example_model(), cfg)
+        predicted = state_model.predict(prior)
+        stepped, _ = pukf_update(predicted, example_model(), threshold=1.0)
+        updated, _ = pukf_update(prior, example_model(), threshold=1.0)
         np.testing.assert_allclose(stepped.mean, updated.mean, atol=1e-12)
         np.testing.assert_allclose(stepped.cov, updated.cov, atol=1e-12)
 
@@ -324,18 +323,18 @@ class TestPukfStep:
         w = 0.05 * np.eye(n)
         state_model = LinearStateModel(transition=f_mat, noise_cov=w)
         func = pointwise(random_quadratic(rng, n, d, curvature=0.3)[0])
-        cfg = PukfConfig(threshold=0.5)
+        threshold = 0.5
 
         state = GaussianState(rng.normal(size=n), random_spd(rng, n))
         shadow = state
         for _ in range(10):
             value = rng.normal(size=d)
             model = MeasurementModel(func=func, value=value, noise_cov=np.eye(d))
-            state, _ = pukf_update(state_model.predict(state), model, cfg)
+            state, _ = pukf_update(state_model.predict(state), model, threshold)
 
             pred = GaussianState(
                 f_mat @ shadow.mean, f_mat @ shadow.cov @ f_mat.T + w
             )
-            shadow, _ = reference_partitioned(pred, model, cfg.threshold)
+            shadow, _ = reference_partitioned(pred, model, threshold)
             np.testing.assert_allclose(state.mean, shadow.mean, atol=1e-8)
             np.testing.assert_allclose(state.cov, shadow.cov, atol=1e-8)
