@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteEvaluation,
     NonSymmetricInput,
     NotPositiveSemiDefinite,
+    NumericalFailure,
     PukfError,
     ReportIoError,
     SingularCovariance,
@@ -71,9 +72,8 @@ from .harness import (
     run_campaign,
 )
 from .linearization import (
-    GAMMA_DEFAULT,
+    GAMMA,
     LinearizationSummary,
-    ekf2_update,
     ekf2_update_numerical,
     linearize,
 )

@@ -11,23 +11,27 @@ class PukfError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPositiveSemiDefinite(PukfError):
+class NumericalFailure(PukfError):
+    """A filter step failed numerically; the harness records a divergence."""
+
+
+class NotPositiveSemiDefinite(NumericalFailure):
     """A matrix that must be PSD (a covariance, usually) is not."""
 
 
-class NonSymmetricInput(PukfError):
+class NonSymmetricInput(NumericalFailure):
     """A matrix that must be symmetric is asymmetric beyond tolerance."""
 
 
-class NonFiniteEvaluation(PukfError):
+class NonFiniteEvaluation(NumericalFailure):
     """A measurement or transition function returned NaN or infinity."""
 
 
-class SingularInnovation(PukfError):
+class SingularInnovation(NumericalFailure):
     """The innovation covariance is numerically singular."""
 
 
-class SingularNoiseSqrt(PukfError):
+class SingularNoiseSqrt(NumericalFailure):
     """The measurement-noise square root cannot be inverted."""
 
 
@@ -35,7 +39,7 @@ class EmptySample(PukfError):
     """A statistic was requested from an empty sample."""
 
 
-class SingularCovariance(PukfError):
+class SingularCovariance(NumericalFailure):
     """An estimate covariance cannot be inverted for a Mahalanobis norm."""
 
 

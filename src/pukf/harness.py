@@ -32,7 +32,7 @@ import scipy
 
 from . import baselines
 from .core import GaussianState
-from .errors import ConfigError, NonFiniteEvaluation, PukfError, ReportIoError
+from .errors import ConfigError, NonFiniteEvaluation, NumericalFailure, ReportIoError
 from .evaluation import DEFAULT_PROBS, Grid2D, error_quantiles, ellipsoid_coverage, kl_divergence_mass
 from .linearization import ekf2_update_numerical
 from .partitioned import pukf_update
@@ -366,7 +366,7 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                         state, spec.state_model, measurement, rng
                     )
                     est = adapter.estimate(state)
-                except (PukfError, np.linalg.LinAlgError):
+                except (NumericalFailure, np.linalg.LinAlgError):  # LinAlgError: eigh did not converge
                     rec["diverged_at"] = t
                 else:
                     rec["update_seconds"].append(time.perf_counter() - t0)
@@ -377,7 +377,7 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                 mean = [float(v) for v in est.mean]
                 try:
                     inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
-                except PukfError:
+                except NumericalFailure:
                     inside = _OUTSIDE
                 kl = kl_divergence_mass(mass, est, grid) if cfg.ref_particles else None
             rec["errors"].append(error)

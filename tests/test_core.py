@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,14 @@ def test_one_cholesky_routine():
         text = path.read_text()
         for other in ("linalg.cholesky", "cho_factor", "cho_solve"):
             assert other not in text, f"{path.name} mentions {other}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("[!_]*.py")))
+def test_every_exported_name_exists(module):
+    # A deletion that forgets an __all__ entry breaks `from pukf.x import *`.
+    mod = importlib.import_module(f"pukf.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"pukf.{module}.__all__ names missing {missing}"
 
 
 class TestMatrixSqrt:

@@ -234,6 +234,20 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="shape"):
             run_campaign(cfg, scenario_spec=spec)
 
+    @pytest.mark.parametrize("label", ["pukf@1", "ekf2n", "ukf", "pf@50"])
+    def test_non_numerical_error_is_not_a_divergence(self, label):
+        # Only NumericalFailure (and numpy's LinAlgError) books a divergence;
+        # any other PukfError from a filter step reaches the caller.
+        spec, *_ = linear_scenario(steps=4)
+
+        def misconfigured(xs):
+            raise ConfigError("measurement function misconfigured")
+
+        spec = replace_model(spec, 2, func=misconfigured)
+        cfg = CampaignConfig(scenario="polynomial", filters=(label,), runs=1, steps=4)
+        with pytest.raises(ConfigError, match="misconfigured"):
+            run_campaign(cfg, scenario_spec=spec)
+
     def test_non_finite_measurement_is_a_divergence(self):
         spec, *_ = linear_scenario(steps=4)
         spec = replace_model(spec, 2, func=lambda xs: np.full((len(xs), 2), np.nan))
@@ -501,17 +515,27 @@ class TestReports:
             report.value("ekf", "no_such_metric")
 
 
-# Reports of two small campaigns, each written by
+# Reports of three small campaigns, each written by
 #   pukf-bench run --scenario <scenario> --filters <filters>
 #       --runs 2 --steps 4 --seed 1 [--ref-particles 20000] --out <file>
-# The bearings report with the particle reference was written before the
+# The far_near report with the particle reference was written before the
 # reference kernels were rewritten (histogram2d binning, searchsorted
 # resampling, multivariate_normal draws, cho_solve weights); the polynomial
-# report pins the 6-d filter path (pukf@-inf's six rounds, ekf2n, iekf).
+# report pins the 6-d filter path (pukf@-inf's six rounds, ekf2n, iekf); the
+# near_near report, written before the probe-based EKF2 update was folded into
+# one function, pins the scenario with the most bearings rounds.
 GOLDEN_DIR = Path(__file__).parent / "data"
 GOLDEN_CAMPAIGNS = {
     "bearings_far_near_ref_small.csv": dict(
         scenario="bearings_far_near",
+        filters=(
+            "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf2", "ruf@3", "ruf@10",
+            "ukf",
+        ),
+        ref_particles=20_000,
+    ),
+    "bearings_near_near_ref_small.csv": dict(
+        scenario="bearings_near_near",
         filters=(
             "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf2", "ruf@3", "ruf@10",
             "ukf",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pukf import (
+    FILTERS,
     GaussianState,
     LinearStateModel,
+    NonFiniteEvaluation,
     ScenarioSpec,
     decorrelate,
     linearize,
     matrix_sqrt,
+    parse_filter,
+    pukf_update,
     scenario_bearings_far_near,
     scenario_bearings_near_near,
     scenario_polynomial,
@@ -329,6 +334,44 @@ class TestBearingsScenarios:
             np.testing.assert_allclose(
                 model.hessians(x), fd_hessians(at_point(model.func), x), atol=1e-3
             )
+
+    @staticmethod
+    def step_at_near_sensor(label):
+        # The prior mean sits on the near sensor (2, 2), where q = 0.
+        spec = scenario_bearings_far_near()
+        rng = np.random.default_rng(12)
+        model = spec.measurement_generator(np.array([2.5, 1.5, 0.0, 0.0]), rng)
+        prior = GaussianState([2.0, 2.0, 0.0, 0.0], np.eye(4))
+        _, name, param = parse_filter(label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return FILTERS[name].build(param).step(prior, spec.state_model, model, rng)
+
+    @pytest.mark.parametrize("label", ["ekf", "ekf2", "iekf@10", "ruf@10"])
+    def test_analytic_derivatives_at_a_sensor_are_non_finite(self, label):
+        # The Jacobian and Hessians divide 0 by 0 there: an error, not a warning.
+        with pytest.raises(NonFiniteEvaluation, match="not finite"):
+            self.step_at_near_sensor(label)
+
+    @pytest.mark.parametrize("label", ["ekf2n", "pukf@1"])
+    def test_probes_at_a_sensor_are_finite(self, label):
+        # The probes' arctan2(0, 0) is 0, so the derivative-free updates return.
+        post = self.step_at_near_sensor(label)
+        assert np.isfinite(post.mean).all()
+
+    @pytest.mark.parametrize(
+        "scenario", [scenario_bearings_far_near, scenario_bearings_near_near]
+    )
+    @pytest.mark.parametrize("threshold", [0.1, 1.0])
+    def test_first_update_splits_into_single_elements(self, scenario, threshold):
+        # Later updates need not split: as the belief tightens, more of them
+        # take both elements in one round, more often at threshold 1 than 0.1.
+        spec = scenario(steps=1)
+        prior = spec.state_model.predict(spec.prior)
+        for seed in range(50):
+            (step,) = simulate_truth(spec, seed)
+            _, trace = pukf_update(prior, step.measurement, threshold)
+            assert trace.split_sizes == (1, 1), seed
 
     def test_velocity_rows_are_zero(self):
         spec = scenario_bearings_far_near()
