@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated filter specs, e.g. pukf@0.1,pukf@1,ekf2,ruf@3",
     )
     run.add_argument("--runs", type=int, help="number of Monte Carlo runs")
-    run.add_argument("--steps", type=int, help="steps per run (scenario default if omitted)")
+    run.add_argument("--steps", type=int, help="steps per run (default 10)")
     run.add_argument("--seed", type=int, help="master seed (default 0)")
     run.add_argument(
         "--ref-particles",

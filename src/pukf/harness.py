@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -201,7 +201,7 @@ class CampaignConfig:
 
     ``filters`` are spec strings ("pukf@0.1", "ruf@3", "ekf"), each built
     once here, so a parameter no filter can run with is a ConfigError.
-    ``steps`` of None uses the scenario default.  ``ref_particles`` of 0
+    ``steps`` is every run's length; no scenario sets one.  ``ref_particles`` of 0
     disables the particle reference and the KL metric.  ``include_timing``
     adds wall-clock rows, which are the only non-deterministic output.
     """
@@ -209,7 +209,7 @@ class CampaignConfig:
     scenario: str
     filters: tuple
     runs: int = 200
-    steps: Optional[int] = None
+    steps: int = 10
     seed: int = 0
     ref_particles: int = 0
     jobs: int = 1
@@ -225,8 +225,6 @@ class CampaignConfig:
         counts = {"runs": 1, "steps": 1, "jobs": 1, "ref_particles": 0}
         for name, least in counts.items():
             value = getattr(self, name)
-            if name == "steps" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
@@ -295,19 +293,17 @@ class MetricsReport:
 def _resolve_scenario(
     cfg: CampaignConfig, spec: Optional[ScenarioSpec] = None
 ) -> ScenarioSpec:
-    """The campaign's scenario (``spec`` if given), with its steps override."""
-    if spec is None:
-        if cfg.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(SCENARIOS))}"
-            )
-        try:
-            spec = SCENARIOS[cfg.scenario](**cfg.scenario_overrides)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario overrides: {exc}") from None
-    if cfg.steps is not None:
-        spec = replace(spec, steps=cfg.steps)
-    return spec
+    """``spec`` if given, else the named scenario; a bad name or override is a ConfigError."""
+    if spec is not None:
+        return spec
+    if cfg.scenario not in SCENARIOS:
+        raise ConfigError(
+            f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(SCENARIOS))}"
+        )
+    try:
+        return SCENARIOS[cfg.scenario](**cfg.scenario_overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scenario overrides: {exc}") from None
 
 
 # Coverage probabilities as the record and report keys.
@@ -324,7 +320,7 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
     """
     ss = np.random.SeedSequence([cfg.seed, run_idx])
     truth_seq, ref_seq, *filter_seqs = ss.spawn(2 + len(cfg.filters))
-    sim = simulate_truth(spec, np.random.default_rng(truth_seq))
+    sim = simulate_truth(spec, cfg.steps, np.random.default_rng(truth_seq))
 
     record = {"run": run_idx, "filters": {}}
     filters = {}  # label -> [adapter, rng, state, record entry]
@@ -465,7 +461,7 @@ def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> Metric
     meta = {
         "scenario": spec.name,
         "runs": cfg.runs,
-        "steps": spec.steps,
+        "steps": cfg.steps,
         "seed": cfg.seed,
         "ref_particles": cfg.ref_particles,
         "filters": list(cfg.filters),

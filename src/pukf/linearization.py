@@ -112,8 +112,7 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     Q[:, i, j] = Q[:, j, i] = ((cross - plus[i] - plus[j] + h0) / (GAMMA * GAMMA)).T
 
     xi = np.trace(Q, axis1=1, axis2=2)
-    Xi = np.einsum("kij,lij->kl", Q, Q)
-    Xi = np.triu(Xi) + np.triu(Xi, 1).T  # exactly symmetric
+    Xi = np.einsum("kij,lij->kl", Q, Q)  # (k, l), (l, k): same products, same order
     return LinearizationSummary(M=M, Q=Q, xi=xi, Xi=Xi, h_at_mean=h0)
 
 

@@ -66,11 +66,6 @@ class ScenarioSpec:
     prior: GaussianState
     state_model: LinearStateModel
     measurement_generator: Callable[[np.ndarray, np.random.Generator], MeasurementModel]
-    steps: int = 10
-
-    @property
-    def dim(self) -> int:
-        return self.prior.dim
 
 
 class SimStep(NamedTuple):
@@ -78,11 +73,11 @@ class SimStep(NamedTuple):
     measurement: MeasurementModel
 
 
-def simulate_truth(spec: ScenarioSpec, seed) -> list[SimStep]:
+def simulate_truth(spec: ScenarioSpec, steps: int, seed) -> list[SimStep]:
     """Sample one trajectory and its realized measurements.
 
     The initial state is drawn from the prior, then propagated through the
-    linear dynamics with process noise for ``spec.steps`` steps; each step
+    linear dynamics with process noise for ``steps`` steps; each step
     carries one measurement of the current true state.  Fully determined
     by ``seed``.
     """
@@ -90,7 +85,7 @@ def simulate_truth(spec: ScenarioSpec, seed) -> list[SimStep]:
     x = spec.prior.mean + sample_gaussian(rng, spec.prior.cov, 1)[0]
     f = spec.state_model.transition
     out = []
-    for _ in range(spec.steps):
+    for _ in range(steps):
         x = f @ x + sample_gaussian(rng, spec.state_model.noise_cov, 1)[0]
         out.append(SimStep(truth=x.copy(), measurement=spec.measurement_generator(x, rng)))
     return out
@@ -150,7 +145,7 @@ def _poly_generator(truth, rng):
     )
 
 
-def scenario_polynomial(steps: int = 10) -> ScenarioSpec:
+def scenario_polynomial() -> ScenarioSpec:
     """Quadratic 6-component measurement of a 3-d random-walk state.
 
     The measurement rows all mix linear and quadratic terms, but three
@@ -163,7 +158,6 @@ def scenario_polynomial(steps: int = 10) -> ScenarioSpec:
         prior=GaussianState(np.zeros(n), 16.0 * np.eye(n)),
         state_model=LinearStateModel(np.eye(n), 16.0 * np.eye(n)),
         measurement_generator=_poly_generator,
-        steps=steps,
     )
 
 
@@ -238,16 +232,19 @@ def _bearings_scenario(
     sensors,
     process_noise: np.ndarray,
     noise_std_deg: float,
-    steps: int,
 ) -> ScenarioSpec:
     sensors = np.asarray(sensors, dtype=float)
+    if sensors.ndim != 2 or sensors.shape[1] != 2 or not np.isfinite(sensors).all():
+        raise ValueError(f"sensors must be a finite (s, 2) array, got {sensors.tolist()}")
     sigma = math.radians(noise_std_deg)
+    if not (sigma > 0.0 and 0.0 < sigma * sigma < math.inf):  # NaN fails too
+        raise ValueError(f"noise_std_deg {noise_std_deg} gives no finite positive variance")
     noise_cov = sigma * sigma * np.eye(sensors.shape[0])
 
-    def generator(truth, rng, _sensors=sensors, _noise=noise_cov):
-        raw = _bearings_raw(truth[None], _sensors)[:, 0]
-        value = raw + rng.normal(0.0, sigma, size=_sensors.shape[0])
-        return _bearings_model(_sensors, _noise, value)
+    def generator(truth, rng):
+        raw = _bearings_raw(truth[None], sensors)[:, 0]
+        value = raw + rng.normal(0.0, sigma, size=sensors.shape[0])
+        return _bearings_model(sensors, noise_cov, value)
 
     transition = np.eye(4)
     transition[0, 2] = transition[1, 3] = 1.0
@@ -256,7 +253,6 @@ def _bearings_scenario(
         prior=GaussianState(np.zeros(4), 10.0 * np.eye(4)),
         state_model=LinearStateModel(transition, process_noise),
         measurement_generator=generator,
-        steps=steps,
     )
 
 
@@ -267,7 +263,6 @@ def _block_noise(pos: float, cross: float, vel: float) -> np.ndarray:
 def scenario_bearings_far_near(
     sensors=((2.0, 2.0), (30.0, 0.0)),
     noise_std_deg: float = 2.0,
-    steps: int = 10,
 ) -> ScenarioSpec:
     """Two bearing sensors: one near the prior, one far away.
 
@@ -284,14 +279,12 @@ def scenario_bearings_far_near(
         sensors,
         _block_noise(1.0 / 300.0, 1.0 / 200.0, 1.0 / 100.0),
         noise_std_deg,
-        steps,
     )
 
 
 def scenario_bearings_near_near(
     sensors=((2.0, 2.0), (-2.0, 2.0)),
     noise_std_deg: float = 2.0,
-    steps: int = 10,
 ) -> ScenarioSpec:
     """Two near bearing sensors and much larger process noise.
 
@@ -305,5 +298,4 @@ def scenario_bearings_near_near(
         sensors,
         _block_noise(1.0 / 3.0, 1.0 / 2.0, 1.0),
         noise_std_deg,
-        steps,
     )

@@ -2,22 +2,29 @@ import ctypes
 import dataclasses
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
+    FILTERS,
+    SCENARIOS,
     AnalyticMeasurementModel,
     CampaignConfig,
     ConfigError,
     DEFAULT_PROBS,
     GaussianState,
     LinearStateModel,
+    NumericalFailure,
     ScenarioSpec,
     config_hash,
     emit_report,
+    matrix_sqrt,
     parse_filter,
     read_report,
     run_campaign,
@@ -28,7 +35,7 @@ from pukf.harness import _report_csv
 from helpers import kalman_update, pointwise, random_spd
 
 
-def linear_scenario(steps=5):
+def linear_scenario():
     """Registered-shape scenario with an exactly linear measurement."""
     rng = np.random.default_rng(99)
     n, d = 3, 2
@@ -52,18 +59,17 @@ def linear_scenario(steps=5):
         prior=GaussianState(np.zeros(n), np.eye(n)),
         state_model=LinearStateModel(f_mat, w),
         measurement_generator=generator,
-        steps=steps,
     ), h_mat, noise, f_mat, w
 
 
-def replace_model(spec, from_step, **fields):
+def replace_model(spec, steps, from_step, **fields):
     """``spec`` with ``fields`` of its measurement models replaced from
-    ``from_step`` on."""
+    ``from_step`` on, in runs of ``steps`` steps."""
     steps_seen = itertools.count()
 
     def generator(truth, rng):
         model = spec.measurement_generator(truth, rng)
-        if next(steps_seen) % spec.steps < from_step:
+        if next(steps_seen) % steps < from_step:
             return model
         return dataclasses.replace(model, **fields)
 
@@ -98,7 +104,7 @@ INVALID_PARAMETERS = (
 # not a TypeError from range() or a failure when the first run starts.
 NON_INTEGER_COUNTS = (
     dict(runs=2.5), dict(runs=2.0), dict(runs="2"), dict(runs=True),
-    dict(steps=1.5), dict(jobs=1.5), dict(ref_particles=2.5),
+    dict(steps=1.5), dict(steps=None), dict(jobs=1.5), dict(ref_particles=2.5),
     dict(ref_particles=20000.0),
 )
 
@@ -129,7 +135,7 @@ class TestCampaignConfig:
         for counts in NON_INTEGER_COUNTS:
             with pytest.raises(ConfigError, match="integer"):
                 CampaignConfig(**good, **counts)
-        CampaignConfig(**good, runs=np.int64(2), steps=None, ref_particles=0)
+        CampaignConfig(**good, runs=np.int64(2), ref_particles=0)
 
     def test_a_filter_listed_twice_is_rejected(self):
         # The label is the report key, so a repeated label would write every
@@ -170,7 +176,7 @@ class TestRunCampaign:
     def test_all_filters_agree_on_linear_scenario(self):
         # on a linear-Gaussian problem every deterministic filter in the
         # registry is exactly the Kalman filter
-        spec, h_mat, noise, f_mat, w = linear_scenario(steps=4)
+        spec, h_mat, noise, f_mat, w = linear_scenario()
         cfg = CampaignConfig(
             scenario="polynomial",  # placeholder; spec is injected
             filters=(
@@ -195,7 +201,7 @@ class TestRunCampaign:
                     )
 
     def test_linear_records_match_kalman_oracle(self):
-        spec, h_mat, noise, f_mat, w = linear_scenario(steps=3)
+        spec, h_mat, noise, f_mat, w = linear_scenario()
         cfg = CampaignConfig(
             scenario="polynomial", filters=("ekf",), runs=1, steps=3, seed=2
         )
@@ -205,7 +211,7 @@ class TestRunCampaign:
 
         ss = np.random.SeedSequence([2, 0])
         truth_rng = np.random.default_rng(ss.spawn(3)[0])
-        sim = simulate_truth(spec, truth_rng)
+        sim = simulate_truth(spec, 3, truth_rng)
         mean, cov = spec.prior.mean, spec.prior.cov
         for t, step in enumerate(sim):
             mean = f_mat @ mean
@@ -216,8 +222,8 @@ class TestRunCampaign:
             )
 
     def test_wrong_shape_is_not_a_divergence(self):
-        spec, h_mat, *_ = linear_scenario(steps=2)
-        spec = replace_model(spec, 0, func=pointwise(lambda x: np.append(h_mat @ x, 0.0)))
+        spec, h_mat, *_ = linear_scenario()
+        spec = replace_model(spec, 2, 0, func=pointwise(lambda x: np.append(h_mat @ x, 0.0)))
         cfg = CampaignConfig(
             scenario="polynomial", filters=("pukf@1", "ekf2n"), runs=2, steps=2
         )
@@ -228,8 +234,8 @@ class TestRunCampaign:
     def test_wrong_shape_batch_is_not_a_divergence(self, label):
         # (N, 1) would broadcast against the 2-vector measurement; every
         # consumer of the vectorized map must refuse it, not diverge on it.
-        spec, h_mat, *_ = linear_scenario(steps=2)
-        spec = replace_model(spec, 0, func=lambda xs: (xs @ h_mat.T)[:, :1])
+        spec, h_mat, *_ = linear_scenario()
+        spec = replace_model(spec, 2, 0, func=lambda xs: (xs @ h_mat.T)[:, :1])
         cfg = CampaignConfig(scenario="polynomial", filters=(label,), runs=1, steps=2)
         with pytest.raises(ValueError, match="shape"):
             run_campaign(cfg, scenario_spec=spec)
@@ -238,19 +244,19 @@ class TestRunCampaign:
     def test_non_numerical_error_is_not_a_divergence(self, label):
         # Only NumericalFailure (and numpy's LinAlgError) books a divergence;
         # any other PukfError from a filter step reaches the caller.
-        spec, *_ = linear_scenario(steps=4)
+        spec, *_ = linear_scenario()
 
         def misconfigured(xs):
             raise ConfigError("measurement function misconfigured")
 
-        spec = replace_model(spec, 2, func=misconfigured)
+        spec = replace_model(spec, 4, 2, func=misconfigured)
         cfg = CampaignConfig(scenario="polynomial", filters=(label,), runs=1, steps=4)
         with pytest.raises(ConfigError, match="misconfigured"):
             run_campaign(cfg, scenario_spec=spec)
 
     def test_non_finite_measurement_is_a_divergence(self):
-        spec, *_ = linear_scenario(steps=4)
-        spec = replace_model(spec, 2, func=lambda xs: np.full((len(xs), 2), np.nan))
+        spec, *_ = linear_scenario()
+        spec = replace_model(spec, 4, 2, func=lambda xs: np.full((len(xs), 2), np.nan))
         filters = (
             "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
             "pf@200",
@@ -271,7 +277,7 @@ class TestRunCampaign:
                     assert report.value(label, "error_q", t, p) == np.inf, (label, t, p)
 
     def test_singular_innovation_is_a_divergence(self):
-        spec, h_mat, *_ = linear_scenario(steps=4)
+        spec, h_mat, *_ = linear_scenario()
         steep = np.zeros_like(h_mat)
         steep[0, 0] = 1e9  # S = J P J' + R has a condition number near 1e17
         # Each of these filters raises SingularInnovation from _solve_spd at
@@ -280,7 +286,7 @@ class TestRunCampaign:
             (np.full_like(h_mat, np.nan), ("ekf", "ekf2", "ruf@2")),
             (steep, ("ekf", "ekf2", "iekf@2", "ruf@2")),
         ):
-            broken = replace_model(spec, 2, jacobian=lambda x, j=jacobian: j)
+            broken = replace_model(spec, 4, 2, jacobian=lambda x, j=jacobian: j)
             cfg = CampaignConfig(
                 scenario="polynomial", filters=filters, runs=2, steps=4, seed=5
             )
@@ -411,6 +417,52 @@ class TestRunCampaign:
         assert _report_csv(report_b) == _report_csv(fresh)
 
 
+# Every registered filter, with the parameters the campaigns use.
+STEP_SPECS = (
+    "pukf@-inf", "pukf@0.1", "pukf@1", "pukf@inf", "ekf", "ekf2", "ekf2n", "ukf",
+    "iekf@10", "ruf@10", "pf@50",
+)
+
+
+@pytest.mark.parametrize("text", STEP_SPECS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_prior=st.floats(-10.0, 10.0),
+    log_noise=st.floats(-8.0, 0.0),
+    scenario=st.sampled_from(["polynomial", "bearings_far_near"]),
+)
+def test_a_step_returns_a_finite_belief_or_fails_numerically(
+    text, seed, log_prior, log_noise, scenario
+):
+    # Prior and process noise scaled together, so the predicted prior keeps
+    # the scale; about 30% of the bearings priors sit on the near sensor.
+    _, name, param = parse_filter(text)
+    spec = SCENARIOS[scenario]()
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_prior
+    mean = spec.prior.mean.copy()
+    if scenario != "polynomial" and rng.random() < 0.3:
+        mean[:2] = (2.0, 2.0)
+    prior = GaussianState(mean, scale * spec.prior.cov)
+    dynamics = LinearStateModel(
+        spec.state_model.transition, scale * spec.state_model.noise_cov
+    )
+    truth = mean + matrix_sqrt(prior.cov) @ rng.normal(size=mean.size)
+    model = spec.measurement_generator(truth, rng)
+    model = dataclasses.replace(model, noise_cov=10.0**log_noise * model.noise_cov)
+    adapter = FILTERS[name].build(param)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            est = adapter.estimate(
+                adapter.step(adapter.init(prior, rng), dynamics, model, rng)
+            )
+        except (NumericalFailure, np.linalg.LinAlgError):
+            return
+    assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
+
+
 def bundled_blas_threads():
     """(get, set) thread-count functions of the OpenBLAS bundled in
     numpy.libs (64-bit interface) and scipy.libs, where they exist."""
@@ -442,7 +494,7 @@ class TestBlasThreads:
 
     def spec_seeing_threads(self, seen, fail=False):
         counts = self.counts()
-        base = linear_scenario(steps=2)[0]
+        base = linear_scenario()[0]
 
         def generator(truth, rng):
             seen.append([get() for get, _ in counts])
@@ -621,6 +673,24 @@ class TestCli:
             path.write_text(json.dumps({**fields, **counts}))
             assert cli_main(["run", "--config", str(path)]) == 2, counts
             assert "integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"steps": 0},  # the run length is the campaign's alone
+            {"noise_std_deg": 0},
+            {"noise_std_deg": float("nan")},
+            {"noise_std_deg": -1},
+            {"sensors": [1.0, 2.0]},
+        ],
+        ids=["steps", "noise_zero", "noise_nan", "noise_negative", "sensors_flat"],
+    )
+    def test_bad_scenario_overrides_exit_2(self, tmp_path, capsys, overrides):
+        path = tmp_path / "config.json"
+        fields = dict(scenario="bearings_far_near", filters=["ekf"], runs=1, steps=1)
+        path.write_text(json.dumps({**fields, "scenario_overrides": overrides}))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "bad scenario overrides" in capsys.readouterr().err
 
     def test_io_errors_exit_3(self, capsys):
         code = cli_main(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pukf import (
     GaussianState,
@@ -11,8 +13,9 @@ from pukf import (
 )
 from pukf.core import AnalyticMeasurementModel
 from pukf.baselines import ekf_update
+from pukf.scenarios import _bearings_model
 
-from helpers import pointwise, random_quadratic, random_spd
+from helpers import pointwise, random_quadratic, random_spd, same_bits
 
 # The running worked example: two quadratic components of a scalar state.
 # h1 = x^2 - 2x - 4 and h2 = -x^2 + 3/2, prior N(1, 1), unit noise.
@@ -111,6 +114,33 @@ class TestLinearize:
 
         with pytest.raises(NonFiniteEvaluation):
             linearize(pointwise(bad), np.array([0.1]), np.eye(1))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        d=st.integers(1, 6),
+        log_scale=st.floats(-6.0, 6.0),
+        bearings=st.booleans(),
+    )
+    def test_xi_is_exactly_symmetric(self, seed, n, d, log_scale, bearings):
+        # The einsum forms Xi[k, l] and Xi[l, k] from the same products summed
+        # in the same order, so Xi has the bits of its upper triangle mirrored
+        # and linearize need not symmetrize it.
+        rng = np.random.default_rng(seed)
+        if bearings:
+            n = max(n, 2)
+            sensors = rng.normal(scale=5.0, size=(d, 2))
+            evaluate = _bearings_model(sensors, np.eye(d), rng.uniform(-3, 3, d)).func
+        else:
+            b = rng.normal(size=(d, n))
+            c = rng.normal(size=(d, n, n))
+            c = c + c.transpose(0, 2, 1)
+            c[rng.random(d) < 0.3] = 0.0  # exactly linear components
+            evaluate = lambda xs: xs @ b.T + 0.5 * np.einsum("kij,ni,nj->nk", c, xs, xs)
+        sqrt_p = matrix_sqrt(random_spd(rng, n, 10.0**log_scale))
+        lin = linearize(evaluate, rng.normal(size=n), sqrt_p)
+        assert same_bits(lin.Xi, np.triu(lin.Xi) + np.triu(lin.Xi, 1).T)
 
 
 class TestEkf2Update:

@@ -366,10 +366,10 @@ class TestBearingsScenarios:
     def test_first_update_splits_into_single_elements(self, scenario, threshold):
         # Later updates need not split: as the belief tightens, more of them
         # take both elements in one round, more often at threshold 1 than 0.1.
-        spec = scenario(steps=1)
+        spec = scenario()
         prior = spec.state_model.predict(spec.prior)
         for seed in range(50):
-            (step,) = simulate_truth(spec, seed)
+            (step,) = simulate_truth(spec, 1, seed)
             _, trace = pukf_update(prior, step.measurement, threshold)
             assert trace.split_sizes == (1, 1), seed
 
@@ -406,14 +406,14 @@ class TestBearingsScenarios:
 
 class TestSimulateTruth:
     def test_deterministic(self):
-        spec = scenario_polynomial(steps=5)
-        a = simulate_truth(spec, 42)
-        b = simulate_truth(spec, 42)
+        spec = scenario_polynomial()
+        a = simulate_truth(spec, 5, 42)
+        b = simulate_truth(spec, 5, 42)
         assert len(a) == len(b) == 5
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.truth, sb.truth)
             np.testing.assert_array_equal(sa.measurement.value, sb.measurement.value)
-        c = simulate_truth(spec, 43)
+        c = simulate_truth(spec, 5, 43)
         assert not np.array_equal(a[0].truth, c[0].truth)
 
     def test_noise_free_scenario_is_constant(self):
@@ -422,19 +422,18 @@ class TestSimulateTruth:
             prior=GaussianState([2.0, -1.0], np.zeros((2, 2))),
             state_model=LinearStateModel(np.eye(2), np.zeros((2, 2))),
             measurement_generator=lambda truth, rng: None,
-            steps=4,
         )
-        steps = simulate_truth(spec, 0)
+        steps = simulate_truth(spec, 4, 0)
         for step in steps:
             np.testing.assert_allclose(step.truth, [2.0, -1.0], atol=1e-12)
 
     def test_dynamics_consistency(self):
         # each truth equals F times the previous truth plus process noise
         # with the configured covariance
-        spec = scenario_bearings_far_near(steps=8)
+        spec = scenario_bearings_far_near()
         diffs = []
         for seed in range(300):
-            steps = simulate_truth(spec, seed)
+            steps = simulate_truth(spec, 8, seed)
             f = spec.state_model.transition
             for prev, cur in zip(steps, steps[1:]):
                 diffs.append(cur.truth - f @ prev.truth)
@@ -442,8 +441,8 @@ class TestSimulateTruth:
         np.testing.assert_allclose(cov, spec.state_model.noise_cov, atol=0.01)
 
     def test_measured_values_wrapped(self):
-        spec = scenario_bearings_near_near(steps=10)
+        spec = scenario_bearings_near_near()
         for seed in range(20):
-            for step in simulate_truth(spec, seed):
+            for step in simulate_truth(spec, 10, seed):
                 # values may carry noise past the cut but stay within one turn
                 assert np.all(np.abs(step.measurement.value) <= math.pi + 0.5)

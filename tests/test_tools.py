@@ -1,0 +1,28 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ref_kernels_prints_each_kernels_median():
+    # A subprocess, since the script sets the BLAS thread variables at import.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "ref_kernels.py"),
+            "--particles", "2000", "--steps", "2", "--repeat", "1",
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result.keys() == {"particles", "steps", "repeat", "seed", "ms_per_step_median"}
+    assert (result["particles"], result["steps"], result["repeat"]) == (2000, 2, 1)
+    assert result["ms_per_step_median"].keys() == {
+        "sample_gaussian", "propagate_particles", "measurement func", "log_likelihood",
+        "weight_particles", "Grid2D.from_cloud", "Grid2D.mass", "kl_divergence_mass",
+        "resample", "step (one pass)",
+    }

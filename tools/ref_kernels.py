@@ -52,9 +52,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    spec = scenario_bearings_far_near(steps=args.steps)
+    spec = scenario_bearings_far_near()
     truth_seq, ref_seq = np.random.SeedSequence([args.seed, 0]).spawn(2)
-    sim = simulate_truth(spec, np.random.default_rng(truth_seq))
+    sim = simulate_truth(spec, args.steps, np.random.default_rng(truth_seq))
     rng = np.random.default_rng(ref_seq)
     pts = spec.prior.mean + baselines.sample_gaussian(rng, spec.prior.cov, args.particles)
     cloud = baselines.ParticleCloud.uniform(pts)
