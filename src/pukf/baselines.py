@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dsyevd
 
 from .core import (
     AnalyticMeasurementModel,
@@ -22,6 +22,7 @@ from .core import (
     LinearStateModel,
     MeasurementModel,
     _correct,
+    _sym_eig,
     matrix_sqrt,
     symmetrize,
 )
@@ -58,28 +59,22 @@ def ekf_update(prior: GaussianState, model: AnalyticMeasurementModel) -> Gaussia
     return GaussianState(*_first_order(prior.mean, prior.cov, model, model.noise_cov))
 
 
-def _trace_corrections(cov: np.ndarray, hessians: np.ndarray):
-    """xi[k] = tr(P H_k) and Xi[k,l] = tr(P H_k P H_l) from analytic Hessians."""
-    ph = np.einsum("ab,kbc->kac", cov, hessians)  # (d, n, n), P @ H_k
-    xi = np.trace(ph, axis1=1, axis2=2)
-    big_xi = np.einsum("kab,lba->kl", ph, ph)
-    return xi, symmetrize(big_xi)
-
-
 def ekf2_update_analytic(
     prior: GaussianState, model: AnalyticMeasurementModel
 ) -> GaussianState:
     """Second-order extended Kalman update with analytic derivatives.
 
     Identical structure to the derivative-free second-order update, but
-    with xi and Xi computed from closed-form Hessians instead of probe
-    differences.
+    with xi[k] = tr(P H_k) and Xi[k, l] = tr(P H_k P H_l) computed from
+    closed-form Hessians instead of probe differences.
     """
     if model.hessians is None:
         raise ValueError("ekf2_update_analytic requires a model with hessians")
     jac = np.atleast_2d(model.jacobian(prior.mean))
     hes = np.asarray(model.hessians(prior.mean), dtype=float)
-    xi, big_xi = _trace_corrections(prior.cov, hes)
+    ph = np.einsum("ab,kbc->kac", prior.cov, hes)  # (d, n, n), P @ H_k
+    xi = ph.trace(axis1=1, axis2=2)
+    big_xi = symmetrize(np.einsum("kab,lba->kl", ph, ph))
     yhat = model.evaluate(prior.mean[None])[0] + 0.5 * xi
     s = jac @ prior.cov @ jac.T + 0.5 * big_xi + model.noise_cov
     return GaussianState(
@@ -220,11 +215,12 @@ def sample_gaussian(rng: np.random.Generator, cov: np.ndarray, size: int) -> np.
 
     The same bits as ``rng.multivariate_normal(zeros, cov, size,
     method="eigh", check_valid="ignore")`` from the same generator state:
-    standard normals times ``(u sqrt|w|)'`` from ``numpy.linalg.eigh``, so
-    exactly singular covariances (including all-zero process noise) sample
-    cleanly.
+    standard normals times ``(u sqrt|w|)'`` from ``numpy.linalg.eigh``'s
+    LAPACK ``dsyevd``, so exactly singular covariances (including all-zero
+    process noise) sample cleanly.
     """
-    w, u = np.linalg.eigh(np.asarray(cov, dtype=float))
+    w, u = _sym_eig(dsyevd, np.asarray(cov, dtype=float), True)
+    u = np.ascontiguousarray(u)  # numpy's layout, so the product keeps its bits
     return rng.standard_normal((size, w.shape[0])) @ (u * np.sqrt(abs(w))).T
 
 

@@ -9,10 +9,10 @@ PSD so that numerical asymmetry cannot accumulate across filter steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from .errors import (
     NonFiniteEvaluation,
@@ -51,17 +51,39 @@ def _square(a, name: str) -> np.ndarray:
     return m
 
 
-def _check_psd(cov: np.ndarray, name: str) -> np.ndarray:
-    cov = symmetrize(_square(cov, name))
-    if not np.all(np.isfinite(cov)):
+def _covariance(a, name: str) -> np.ndarray:
+    m = _square(a, name)
+    if not m.size:  # LAPACK factors a 0 x 0 matrix with info 0
+        raise ValueError(f"{name} must be at least 1 x 1, got shape {m.shape}")
+    return m
+
+
+def _sym_eig(driver, a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and Fortran-ordered eigenvectors of a symmetric lower
+    triangle from one LAPACK call, with the bits of numpy.linalg.eigh (``dsyevd``)
+    or scipy.linalg.eigh (``dsyevr``); a failed call raises LinAlgError, as theirs."""
+    w, v, *_, info = driver(a, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolver failed (LAPACK info {info})")
+    return w, v
+
+
+def _check_psd(cov: np.ndarray, name: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The symmetrized covariance and its Cholesky factor, ``matrix_sqrt``'s bits, or
+    None where only the eigenvalue rule, which every factorable matrix passes, holds."""
+    cov = symmetrize(_covariance(cov, name))
+    if not np.isfinite(cov).all():
         raise NotPositiveSemiDefinite(f"{name} contains non-finite entries")
-    w = np.linalg.eigvalsh(cov)
+    factor, info = dpotrf(cov, lower=1, clean=1)
+    if info == 0:
+        return cov, np.ascontiguousarray(factor)
+    w = _sym_eig(dsyevd, cov, False)[0]
     if w[0] < -PSD_SLACK * max(w[-1], 0.0):
         raise NotPositiveSemiDefinite(
             f"{name} has eigenvalue {w[0]:.3e} below the PSD tolerance "
             f"(largest eigenvalue {w[-1]:.3e})"
         )
-    return cov
+    return cov, None
 
 
 @dataclass(frozen=True)
@@ -69,29 +91,37 @@ class GaussianState:
     """Gaussian belief N(mean, cov) over an n-dimensional state.
 
     The covariance is symmetrized on construction and must be PSD up to a
-    relative slack of 1e-9 on the smallest eigenvalue.
+    relative slack of 1e-9 on the smallest eigenvalue; :attr:`sqrt_cov` is
+    the Cholesky factor that validated it.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    _cholesky: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("mean contains non-finite entries")
-        cov = _check_psd(self.cov, "state covariance")
+        cov, factor = _check_psd(self.cov, "state covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape}"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_cholesky", factor)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def sqrt_cov(self) -> np.ndarray:
+        """``matrix_sqrt(cov)``: the kept factor (its bits), or the jittered one."""
+        return matrix_sqrt(self.cov) if self._cholesky is None else self._cholesky
 
 
 @dataclass(frozen=True)
@@ -121,13 +151,13 @@ class MeasurementModel:
         value = np.atleast_1d(np.asarray(self.value, dtype=float))
         if value.ndim != 1:
             raise ValueError(f"measurement value must be a vector, got {value.shape}")
-        noise = symmetrize(_square(self.noise_cov, "measurement noise covariance"))
+        noise = symmetrize(_covariance(self.noise_cov, "measurement noise covariance"))
         if noise.shape[0] != value.shape[0]:
             raise ValueError(
                 f"value has dimension {value.shape[0]} but noise is {noise.shape}"
             )
         sqrt_noise, info = dpotrf(noise, lower=1, clean=1)
-        if not np.all(np.isfinite(noise)) or info != 0:
+        if not np.isfinite(noise).all() or info != 0:
             raise NotPositiveSemiDefinite(
                 "measurement noise covariance is not finite and positive definite"
             )
@@ -177,7 +207,7 @@ class LinearStateModel:
 
     def __post_init__(self):
         trans = _square(self.transition, "transition matrix")
-        noise = _check_psd(self.noise_cov, "process noise covariance")
+        noise = _check_psd(self.noise_cov, "process noise covariance")[0]
         if noise.shape != trans.shape:
             raise ValueError(
                 f"transition is {trans.shape} but process noise is {noise.shape}"
@@ -204,16 +234,16 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     LAPACK ``dpotrf``, as every Cholesky step in the package does, and is
     returned C-contiguous; its diagonal is non-negative.
     """
-    cov = _square(cov, "covariance")
-    asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
-    if asym > 1e-12 * (1.0 + np.max(np.abs(cov))):
+    cov = _covariance(cov, "covariance")
+    asym = np.abs(cov - cov.T).max()
+    if asym > 1e-12 * (1.0 + np.abs(cov).max()):
         raise NonSymmetricInput(
             f"covariance asymmetry {asym:.3e} exceeds tolerance"
         )
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise NotPositiveSemiDefinite("covariance contains non-finite entries")
     n = cov.shape[0]
-    jitter = 1e-12 * np.trace(cov) / n
+    jitter = 1e-12 * cov.trace() / n
     attempt = cov
     for k in range(5):
         factor, info = dpotrf(attempt, lower=1, clean=1)
@@ -242,11 +272,12 @@ def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If the asymmetry exceeds 1e-10 relative to the largest entry.
     """
     s = _square(s, "matrix")
-    scale = 1.0 + (np.max(np.abs(s)) if s.size else 0.0)
-    asym = np.max(np.abs(s - s.T)) if s.size else 0.0
+    scale = 1.0 + (np.abs(s).max() if s.size else 0.0)
+    asym = np.abs(s - s.T).max() if s.size else 0.0
     if asym > 1e-10 * scale:
         raise NonSymmetricInput(f"asymmetry {asym:.3e} exceeds 1e-10 relative tolerance")
-    w, u = np.linalg.eigh(symmetrize(s))
+    w, u = _sym_eig(dsyevd, symmetrize(s), True)
+    u = np.ascontiguousarray(u)  # Fortran order sends later matmuls down other BLAS paths
     if u.size:
         flip = u[np.abs(u).argmax(axis=0), np.arange(len(u))] < 0.0
         u *= np.where(flip, -1.0, 1.0)
@@ -260,9 +291,9 @@ def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     condition w_max/w_min of S (inf unless w_min > 0) exceeds 1e12 or the
     factorization fails, so filters never invert a near-singular innovation.
     """
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise SingularInnovation("innovation covariance contains non-finite entries")
-    w = np.linalg.eigvalsh(s)
+    w = _sym_eig(dsyevd, s, False)[0]
     cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
     if cond > COND_LIMIT:
         raise SingularInnovation(
@@ -282,7 +313,7 @@ def _correct(mean, cov, residual, s, cross) -> tuple[np.ndarray, np.ndarray]:
     as plain arrays, so iterating callers validate no intermediate state.
     Raises NonFiniteEvaluation if the residual r is not finite.
     """
-    if not np.all(np.isfinite(residual)):
+    if not np.isfinite(residual).all():
         raise NonFiniteEvaluation("measurement residual contains non-finite entries")
     s = symmetrize(s)
     gain = _solve_spd(s, cross.T).T

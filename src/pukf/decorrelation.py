@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import MeasurementModel, _square, symmetrize, sym_eig_ascending
+from .core import MeasurementModel, _covariance, symmetrize, sym_eig_ascending
 from .errors import SingularNoiseSqrt
 
 __all__ = [
@@ -59,19 +59,11 @@ def nonlinearity(Xi: np.ndarray, noise_cov: np.ndarray) -> float:
     parametrization.  Raises ValueError on non-finite input and LinAlgError
     if the noise covariance is not positive definite.
     """
-    noise_cov = np.asarray_chkfinite(_square(noise_cov, "noise covariance"))
+    noise_cov = np.asarray_chkfinite(_covariance(noise_cov, "noise covariance"))
     c, info = dpotrf(noise_cov, lower=1, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError("noise covariance is not positive definite")
-    return float(np.trace(dpotrs(c, np.asarray_chkfinite(Xi, dtype=float), lower=1)[0]))
-
-
-def _check_sqrt_invertible(sqrt_noise: np.ndarray) -> None:
-    diag = np.abs(np.diag(sqrt_noise))
-    if diag.min() <= 0.0 or diag.max() / diag.min() > 1e12:
-        raise SingularNoiseSqrt(
-            "measurement-noise square root is numerically singular"
-        )
+    return float(dpotrs(c, np.asarray_chkfinite(Xi, dtype=float), lower=1)[0].trace())
 
 
 def decorrelate(
@@ -105,7 +97,9 @@ def decorrelate(
         whitened = Xi
     else:
         sqrt_noise = np.asarray_chkfinite(sqrt_noise, dtype=float)
-        _check_sqrt_invertible(sqrt_noise)
+        diag = np.abs(sqrt_noise.diagonal())
+        if diag.min() <= 0.0 or diag.max() / diag.min() > 1e12:
+            raise SingularNoiseSqrt("measurement-noise square root is numerically singular")
         # BLAS trsm rather than scipy.linalg.solve_triangular: OpenBLAS runs
         # the LAPACK trtrs behind the latter on its thread pool even for 2x2
         # systems (up to 12 ms a call on a loaded 2-core host), while trsm

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs, dsyevr
 from scipy.special import chdtr
 
 from .baselines import ParticleCloud
-from .core import GaussianState
+from .core import GaussianState, _sym_eig
 from .errors import EmptySample, GridTooSmall, SingularCovariance
 
 __all__ = [
@@ -72,11 +71,12 @@ def ellipsoid_coverage(
 
     The p-ellipsoid of N(mu, P) contains x iff the chi-squared CDF (with
     dim degrees of freedom) of the squared Mahalanobis distance is
-    strictly below p.  Returns one bool per entry of ``probs``.
+    strictly below p.  Returns one bool per entry of ``probs``.  The norm
+    solves with the estimate's kept Cholesky factor (SingularCovariance if none).
     """
     diff = estimate.mean - np.asarray_chkfinite(truth, dtype=float)
-    c, info = dpotrf(estimate.cov, lower=1, clean=0)
-    if info != 0:
+    c = estimate._cholesky
+    if c is None:
         raise SingularCovariance(
             "estimate covariance cannot be factorized for a Mahalanobis norm"
         )
@@ -186,12 +186,12 @@ def kl_divergence_mass(mass: np.ndarray, approx: GaussianState, grid: Grid2D) ->
     """
     marg_mean = approx.mean[_PLANE]
     marg_cov = approx.cov[np.ix_(_PLANE, _PLANE)]
-    if not (np.all(np.isfinite(marg_mean)) and np.all(np.isfinite(marg_cov))):
+    if not (np.isfinite(marg_mean).all() and np.isfinite(marg_cov).all()):
         return float("inf")
     mx, my = grid.midpoints()
     points = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1).reshape(-1, 2)
-    w, u = scipy.linalg.eigh(marg_cov, lower=True)
-    if w[0] <= 1e6 * np.finfo(float).eps * np.max(np.abs(w)):
+    w, u = _sym_eig(dsyevr, marg_cov, True)  # scipy.linalg.eigh's driver and bits
+    if w[0] <= 1e6 * np.finfo(float).eps * np.abs(w).max():
         return float("inf")
     white = (points - marg_mean) @ np.multiply(u, np.sqrt(1.0 / w))
     maha = np.sum(np.square(white), axis=-1)

@@ -16,12 +16,13 @@ into an EKF2-style update without any analytic derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
+from .core import GaussianState, MeasurementModel, _correct
 from .errors import NonFiniteEvaluation
 
 __all__ = [
@@ -73,6 +74,14 @@ def _eval(evaluate, points):
     return ys
 
 
+@functools.cache  # one entry per state dimension, read-only as every call shares it
+def _probe_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    indices = (np.arange(n), *np.triu_indices(n, 1))
+    for a in indices:
+        a.setflags(write=False)
+    return indices
+
+
 def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> LinearizationSummary:
     """Probe a map around ``mean`` and assemble second-order statistics.
 
@@ -86,7 +95,7 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     mean : ndarray, shape (n,)
         Expansion point.
     sqrt_cov : ndarray, shape (n, n)
-        Square root of the covariance (typically from :func:`matrix_sqrt`);
+        Square root of the covariance (typically ``GaussianState.sqrt_cov``);
         the probe offsets g_i are GAMMA times its columns.
 
     Raises
@@ -98,7 +107,7 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     sqrt_cov = np.asarray(sqrt_cov, dtype=float)
     n = mean.shape[0]
     delta = GAMMA * sqrt_cov.T  # row i is the i-th probe offset
-    i, j = np.triu_indices(n, 1)
+    diag, i, j = _probe_indices(n)
     plus_points = mean + delta
     stencil = np.vstack([mean, plus_points, mean - delta, plus_points[i] + delta[j]])
 
@@ -108,10 +117,10 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     M = (plus - minus).T / (2.0 * GAMMA)
 
     Q = np.empty((h0.shape[0], n, n))
-    Q[:, range(n), range(n)] = ((plus + minus - 2.0 * h0) / (GAMMA * GAMMA)).T
+    Q[:, diag, diag] = ((plus + minus - 2.0 * h0) / (GAMMA * GAMMA)).T
     Q[:, i, j] = Q[:, j, i] = ((cross - plus[i] - plus[j] + h0) / (GAMMA * GAMMA)).T
 
-    xi = np.trace(Q, axis1=1, axis2=2)
+    xi = Q.trace(axis1=1, axis2=2)
     Xi = np.einsum("kij,lij->kl", Q, Q)  # (k, l), (l, k): same products, same order
     return LinearizationSummary(M=M, Q=Q, xi=xi, Xi=Xi, h_at_mean=h0)
 
@@ -130,7 +139,7 @@ def ekf2_update_numerical(prior: GaussianState, model: MeasurementModel) -> Gaus
 
     Raises SingularInnovation if S cannot be solved.
     """
-    sqrt_p = matrix_sqrt(prior.cov)
+    sqrt_p = prior.sqrt_cov
     lin = linearize(model.evaluate, prior.mean, sqrt_p)
     yhat = lin.h_at_mean + 0.5 * lin.xi
     s = lin.M @ lin.M.T + 0.5 * lin.Xi + model.noise_cov

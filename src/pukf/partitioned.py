@@ -90,7 +90,7 @@ def pukf_update(
 
     rounds = []
     while len(rows):
-        sqrt_p = matrix_sqrt(cov)
+        sqrt_p = matrix_sqrt(cov) if rounds else prior.sqrt_cov
         lin = linearize(model.evaluate, mean, sqrt_p)
         dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, threshold)
         k = dec.split_k

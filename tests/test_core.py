@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsyevd, dsyevr
 
 from pukf import (
     GaussianState,
@@ -15,9 +16,10 @@ from pukf import (
     NotPositiveSemiDefinite,
     SingularInnovation,
     matrix_sqrt,
+    nonlinearity,
     sym_eig_ascending,
 )
-from pukf.core import _solve_spd, symmetrize
+from pukf.core import PSD_SLACK, _solve_spd, _sym_eig, symmetrize
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pukf"
 
@@ -168,6 +170,16 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0], [[1.0]])
 
+    def test_the_kept_factor_is_derived(self):
+        # Derived from cov and never passed in, as MeasurementModel.sqrt_noise
+        state = GaussianState([0.0, 0.0], [[4.0, 2.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(state.sqrt_cov, [[2.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(TypeError):
+            GaussianState([0.0], [[1.0]], _cholesky=np.eye(1))
+        # PSD but singular: no factor validated it, so sqrt_cov is the jittered one
+        singular = GaussianState([0.0, 0.0], np.ones((2, 2)))
+        assert np.array_equal(singular.sqrt_cov, matrix_sqrt(singular.cov))
+
 
 class TestMeasurementModel:
     def test_noise_must_be_positive_definite(self):
@@ -240,3 +252,134 @@ class TestSolveSpd:
             _solve_spd(np.diag([1.0, 1e-13]), np.ones(2))
         with pytest.raises(SingularInnovation, match="condition"):
             _solve_spd(np.ones((2, 2)), np.ones(2))  # exactly singular
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianState(np.zeros(0), np.zeros((0, 0))),
+        lambda: LinearStateModel(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: matrix_sqrt(np.zeros((0, 0))),
+        lambda: MeasurementModel(lambda xs: xs, np.zeros(0), np.zeros((0, 0))),
+        lambda: nonlinearity(np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+    ids=["GaussianState", "LinearStateModel", "matrix_sqrt", "MeasurementModel",
+         "nonlinearity"],
+)
+def test_zero_dimensional_inputs_are_value_errors(build):
+    # LAPACK factors a 0 x 0 matrix with info 0, so only a shape check can
+    # reject it; the message names the shape.
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        build()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def symmetric_case(rng, d, kind, log_scale):
+    """A symmetric d x d matrix of one kind, scaled by 10**log_scale."""
+    if kind == "integer":  # small integers force ties in values and vectors
+        a = symmetrize(rng.integers(-2, 3, size=(d, d)).astype(float))
+    elif kind == "diagonal":
+        a = np.diag(rng.normal(size=d))
+    elif kind == "zero":
+        a = np.zeros((d, d))
+    elif kind == "repeated":
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        a = symmetrize(q @ np.diag(rng.choice([-1.0, 2.0], size=d)) @ q.T)
+    else:
+        a = symmetrize(rng.normal(size=(d, d)))
+    return a * 10.0**log_scale
+
+
+class TestLapackEigensolvers:
+    """Kernel facts the package relies on: one direct LAPACK call gives the
+    bits of the library eigensolver it replaced.  A BLAS or LAPACK change
+    that breaks one fails here rather than in a report digest."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        kind=st.sampled_from(["random", "integer", "diagonal", "zero", "repeated"]),
+        log_scale=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_library_calls(self, d, kind, log_scale, seed):
+        a = symmetric_case(np.random.default_rng(seed), d, kind, log_scale)
+        w, u = _sym_eig(dsyevd, a, True)
+        want_w, want_u = np.linalg.eigh(a)
+        assert bits(w).tolist() == bits(want_w).tolist()
+        assert bits(u).tolist() == bits(want_u).tolist()
+        assert bits(_sym_eig(dsyevd, a, False)[0]).tolist() == bits(np.linalg.eigvalsh(a)).tolist()
+        w, u = _sym_eig(dsyevr, a, True)
+        want_w, want_u = scipy.linalg.eigh(a, lower=True)
+        assert bits(w).tolist() == bits(want_w).tolist()
+        assert bits(u).tolist() == bits(want_u).tolist()
+        # numpy's layout, which later matmuls depend on
+        assert sym_eig_ascending(a)[0].flags.c_contiguous
+
+    def test_a_failed_call_is_a_linalg_error(self):
+        # dsyevd does not converge on NaN input; numpy raises the same class
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK info"):
+            _sym_eig(dsyevd, np.full((3, 3), np.nan), True)
+
+
+def eigenvalue_rule(cov):
+    """The PSD check before the factor was tried first: the oracle."""
+    cov = symmetrize(np.asarray(cov, dtype=float))
+    if not np.isfinite(cov).all():
+        raise NotPositiveSemiDefinite("non-finite")
+    w = np.linalg.eigvalsh(cov)
+    if w[0] < -PSD_SLACK * max(w[-1], 0.0):
+        raise NotPositiveSemiDefinite("below the slack")
+
+
+def outcome(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # the class is the outcome being compared
+        return type(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    kind=st.sampled_from(["definite", "near_singular", "singular", "indefinite", "non_finite"]),
+    log_scale=st.integers(-100, 100),
+    log_gap=st.floats(-18.0, -6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_factor_first_check_decides_as_the_eigenvalue_rule(
+    d, kind, log_scale, log_gap, seed
+):
+    # Indefinite matrices have lambda_min from -1e-18 to -1e-6 times lambda_max,
+    # on both sides of the 1e-9 slack; singular ones have exact zero
+    # eigenvalues that roundoff leaves a hair either side of zero.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    w = rng.uniform(0.1, 1.0, size=d)
+    w[0] = 1.0
+    if kind == "near_singular":
+        w[-1] = 10.0**log_gap
+    elif kind == "singular":
+        w[rng.random(d) < 0.5] = 0.0
+    elif kind == "indefinite":
+        w[-1] = -(10.0**log_gap)
+    cov = (q * w) @ q.T * 10.0**log_scale
+    if kind == "non_finite":
+        cov[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    want = outcome(eigenvalue_rule, cov)
+    assert outcome(GaussianState, np.zeros(d), cov) is want
+    assert outcome(LinearStateModel, np.eye(d), cov) is want
+    if want is None:
+        state = GaussianState(np.zeros(d), cov)
+        try:
+            want_sqrt = matrix_sqrt(state.cov)
+        except NotPositiveSemiDefinite:  # a singular matrix jitter cannot fix
+            with pytest.raises(NotPositiveSemiDefinite):
+                state.sqrt_cov
+        else:
+            assert bits(state.sqrt_cov).tolist() == bits(want_sqrt).tolist()
+            assert state.sqrt_cov.flags.c_contiguous

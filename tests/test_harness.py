@@ -28,6 +28,7 @@ from pukf import (
     parse_filter,
     read_report,
     run_campaign,
+    sample_gaussian,
 )
 from pukf.cli import main as cli_main
 from pukf.harness import _report_csv
@@ -430,13 +431,14 @@ STEP_SPECS = (
     seed=st.integers(0, 2**32 - 1),
     log_prior=st.floats(-10.0, 10.0),
     log_noise=st.floats(-8.0, 0.0),
-    scenario=st.sampled_from(["polynomial", "bearings_far_near"]),
+    scenario=st.sampled_from(["polynomial", "bearings_far_near", "bearings_near_near"]),
 )
 def test_a_step_returns_a_finite_belief_or_fails_numerically(
     text, seed, log_prior, log_noise, scenario
 ):
     # Prior and process noise scaled together, so the predicted prior keeps
-    # the scale; about 30% of the bearings priors sit on the near sensor.
+    # the scale; about 30% of the bearings priors sit on a near sensor.  Three
+    # chained steps, so later steps start from a belief a filter made.
     _, name, param = parse_filter(text)
     spec = SCENARIOS[scenario]()
     rng = np.random.default_rng(seed)
@@ -449,18 +451,20 @@ def test_a_step_returns_a_finite_belief_or_fails_numerically(
         spec.state_model.transition, scale * spec.state_model.noise_cov
     )
     truth = mean + matrix_sqrt(prior.cov) @ rng.normal(size=mean.size)
-    model = spec.measurement_generator(truth, rng)
-    model = dataclasses.replace(model, noise_cov=10.0**log_noise * model.noise_cov)
     adapter = FILTERS[name].build(param)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            est = adapter.estimate(
-                adapter.step(adapter.init(prior, rng), dynamics, model, rng)
-            )
-        except (NumericalFailure, np.linalg.LinAlgError):
-            return
-    assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
+        state = adapter.init(prior, rng)
+        for _ in range(3):
+            model = spec.measurement_generator(truth, rng)
+            model = dataclasses.replace(model, noise_cov=10.0**log_noise * model.noise_cov)
+            try:
+                state = adapter.step(state, dynamics, model, rng)
+                est = adapter.estimate(state)
+            except (NumericalFailure, np.linalg.LinAlgError):
+                return
+            assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
+            truth = dynamics.transition @ truth + sample_gaussian(rng, dynamics.noise_cov, 1)[0]
 
 
 def bundled_blas_threads():
