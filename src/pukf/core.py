@@ -137,9 +137,9 @@ class MeasurementModel:
     value : array_like, shape (d,)
         The realized measurement.
     noise_cov : array_like, shape (d, d)
-        Additive Gaussian noise covariance; must be finite and symmetric
-        positive definite.  The factor that validates it is kept as the
-        derived, unsettable ``sqrt_noise``: :func:`matrix_sqrt`'s bits.
+        Additive Gaussian noise covariance: it passes the check of a
+        :class:`GaussianState` covariance and has a Cholesky factor, kept as
+        the derived, unsettable ``sqrt_noise`` (:func:`matrix_sqrt`'s bits).
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -151,19 +151,16 @@ class MeasurementModel:
         value = np.atleast_1d(np.asarray(self.value, dtype=float))
         if value.ndim != 1:
             raise ValueError(f"measurement value must be a vector, got {value.shape}")
-        noise = symmetrize(_covariance(self.noise_cov, "measurement noise covariance"))
+        noise, sqrt_noise = _check_psd(self.noise_cov, "measurement noise covariance")
         if noise.shape[0] != value.shape[0]:
             raise ValueError(
                 f"value has dimension {value.shape[0]} but noise is {noise.shape}"
             )
-        sqrt_noise, info = dpotrf(noise, lower=1, clean=1)
-        if not np.isfinite(noise).all() or info != 0:
-            raise NotPositiveSemiDefinite(
-                "measurement noise covariance is not finite and positive definite"
-            )
+        if sqrt_noise is None:
+            raise NotPositiveSemiDefinite("measurement noise covariance is not positive definite")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "noise_cov", noise)
-        object.__setattr__(self, "sqrt_noise", np.ascontiguousarray(sqrt_noise))
+        object.__setattr__(self, "sqrt_noise", sqrt_noise)
 
     @property
     def dim(self) -> int:
@@ -288,8 +285,8 @@ def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve S X = B for a symmetric positive-definite float array S.
 
     Used for innovation solves; raises SingularInnovation when the 2-norm
-    condition w_max/w_min of S (inf unless w_min > 0) exceeds 1e12 or the
-    factorization fails, so filters never invert a near-singular innovation.
+    condition w_max/w_min of S (inf unless w_min > 0) exceeds COND_LIMIT or
+    the factorization fails, so filters never invert a near-singular innovation.
     """
     if not np.isfinite(s).all():
         raise SingularInnovation("innovation covariance contains non-finite entries")
@@ -297,7 +294,7 @@ def _solve_spd(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     cond = w[-1] / w[0] if w[0] > 0.0 else np.inf
     if cond > COND_LIMIT:
         raise SingularInnovation(
-            f"innovation covariance condition estimate {cond:.3e} exceeds 1e12"
+            f"innovation covariance condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
     c, info = dpotrf(s, lower=1, clean=0)
     if info != 0:

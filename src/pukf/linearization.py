@@ -101,7 +101,7 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     Raises
     ------
     NonFiniteEvaluation
-        If any probe returns NaN or infinity.
+        If any probe returns NaN or infinity, or ``M`` or ``Xi`` overflows.
     """
     mean = np.asarray(mean, dtype=float)
     sqrt_cov = np.asarray(sqrt_cov, dtype=float)
@@ -122,6 +122,8 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
 
     xi = Q.trace(axis1=1, axis2=2)
     Xi = np.einsum("kij,lij->kl", Q, Q)  # (k, l), (l, k): same products, same order
+    if not (np.isfinite(Xi).all() and np.isfinite(M).all()):  # Xi bounds Q and xi
+        raise NonFiniteEvaluation("probe statistics overflow at this covariance scale")
     return LinearizationSummary(M=M, Q=Q, xi=xi, Xi=Xi, h_at_mean=h0)
 
 

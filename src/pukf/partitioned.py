@@ -8,6 +8,7 @@ a threshold, or the single best element when nothing qualifies) is applied
 first; the remaining elements are re-linearized at the partially updated
 belief, where there is less prior spread and therefore less nonlinearity
 left to commit to.  The loop repeats until the measurement is exhausted.
+Each round's belief is a ``GaussianState``, probed by its validating factor.
 
 The remainder is a row block over the original measurement.  The probe
 statistics are linear in the function values (Xi quadratic), so each round
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianState, MeasurementModel, _correct, matrix_sqrt
+from .core import GaussianState, MeasurementModel, _correct
 from .decorrelation import decorrelate
 from .linearization import linearize
 
@@ -38,9 +39,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PartialUpdateRound:
     """One round of a partitioned update: the spectrum seen, the block size
-    taken, and the belief ``mean``/``cov`` after absorbing that block, as
-    plain arrays.  Only the last round's belief is validated, as the
-    returned posterior."""
+    taken, and the validated belief's ``mean``/``cov`` after absorbing that
+    block; the last round's is the returned posterior."""
 
     lambdas: np.ndarray
     split_k: int
@@ -76,22 +76,22 @@ def pukf_update(
 
     Returns the posterior belief and a trace with one entry per round.
     The sum of the per-round block sizes always equals the measurement
-    dimension.  Round 0 whitens by the model's ``sqrt_noise``; the rounds
-    carry plain arrays, and the posterior is the one ``GaussianState``
-    built.
+    dimension.  Round 0 whitens by the model's ``sqrt_noise``.  Every
+    round's belief is a ``GaussianState``, whose validating factor is the
+    next round's probe square root; the last round's is the posterior, and
+    a round whose covariance is not PSD raises NotPositiveSemiDefinite.
     """
     if np.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    mean = prior.mean
-    cov = prior.cov
+    state = prior
     sqrt_noise = model.sqrt_noise
     # What is left of the measurement, as rows over the original model.
     rows = np.eye(model.dim)
 
     rounds = []
     while len(rows):
-        sqrt_p = matrix_sqrt(cov) if rounds else prior.sqrt_cov
-        lin = linearize(model.evaluate, mean, sqrt_p)
+        sqrt_p = state.sqrt_cov
+        lin = linearize(model.evaluate, state.mean, sqrt_p)
         dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, threshold)
         k = dec.split_k
         head = dec.D[:k] @ rows
@@ -99,13 +99,13 @@ def pukf_update(
         yhat = head @ (lin.h_at_mean + 0.5 * lin.xi)
         b = head @ lin.M  # (k, n)
         s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
-        mean, cov = _correct(mean, cov, head @ model.value - yhat, s, sqrt_p @ b.T)
-        rounds.append(PartialUpdateRound(dec.lambdas, k, mean, cov))
+        post = _correct(state.mean, state.cov, head @ model.value - yhat, s, sqrt_p @ b.T)
+        state = GaussianState(*post)
+        rounds.append(PartialUpdateRound(dec.lambdas, k, state.mean, state.cov))
 
         # The remaining elements in the transformed basis; their noise is
         # white by construction.
         rows = dec.D[k:] @ rows
         sqrt_noise = None
 
-    return GaussianState(mean, cov), PartialUpdateTrace(rounds=tuple(rounds))
-
+    return state, PartialUpdateTrace(rounds=tuple(rounds))

@@ -467,6 +467,28 @@ def test_a_step_returns_a_finite_belief_or_fails_numerically(
             truth = dynamics.transition @ truth + sample_gaussian(rng, dynamics.noise_cov, 1)[0]
 
 
+@pytest.mark.parametrize("text", STEP_SPECS)
+def test_an_overflowing_prior_fails_numerically(text):
+    # At these scales the second-order probe statistics of the polynomial
+    # map overflow; a filter must book that as a numerical failure, with no
+    # warning, and not raise a ValueError that would stop the campaign.
+    _, name, param = parse_filter(text)
+    spec = SCENARIOS["polynomial"]()
+    for log_scale in (160, 200, 250, 300):
+        rng = np.random.default_rng(log_scale)
+        prior = GaussianState(spec.prior.mean, 10.0**log_scale * spec.prior.cov)
+        model = spec.measurement_generator(spec.prior.mean, rng)
+        adapter = FILTERS[name].build(param)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                state = adapter.step(adapter.init(prior, rng), spec.state_model, model, rng)
+                est = adapter.estimate(state)
+            except (NumericalFailure, np.linalg.LinAlgError):
+                continue
+        assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
+
+
 def bundled_blas_threads():
     """(get, set) thread-count functions of the OpenBLAS bundled in
     numpy.libs (64-bit interface) and scipy.libs, where they exist."""

@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pukf import (
+    SCENARIOS,
     GaussianState,
     LinearStateModel,
     MeasurementModel,
+    decorrelate,
     ekf2_update_numerical,
     linearize,
     matrix_sqrt,
     pukf_update,
+    sample_gaussian,
     transform_model,
 )
+from pukf.core import _correct
 
 from helpers import kalman_update, pointwise, random_quadratic, random_spd
 
@@ -219,6 +223,62 @@ class TestPukfUpdate:
         np.testing.assert_array_equal(default.cov, explicit.cov)
         with pytest.raises(ValueError, match="NaN"):
             pukf_update(prior, example_model(), threshold=np.nan)
+
+
+def plain_array_rounds(prior, model, threshold):
+    """The round loop as it was before every round's belief was a
+    ``GaussianState``: later rounds factor with ``matrix_sqrt``, the rounds
+    carry plain arrays, and one ``GaussianState`` is built at the end.  The
+    bits the loop must keep.  Returns the posterior and each round's
+    (lambdas, split size, mean, cov)."""
+    mean, cov = prior.mean, prior.cov
+    sqrt_noise = model.sqrt_noise
+    rows = np.eye(model.dim)
+    rounds = []
+    while len(rows):
+        sqrt_p = matrix_sqrt(cov) if rounds else prior.sqrt_cov
+        lin = linearize(model.evaluate, mean, sqrt_p)
+        dec = decorrelate(rows @ lin.Xi @ rows.T, sqrt_noise, threshold)
+        k = dec.split_k
+        head = dec.D[:k] @ rows
+        yhat = head @ (lin.h_at_mean + 0.5 * lin.xi)
+        b = head @ lin.M
+        s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
+        mean, cov = _correct(mean, cov, head @ model.value - yhat, s, sqrt_p @ b.T)
+        rounds.append((dec.lambdas, k, mean, cov))
+        rows = dec.D[k:] @ rows
+        sqrt_noise = None
+    return GaussianState(mean, cov), rounds
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("scenario", ["polynomial", "bearings_far_near", "bearings_near_near"])
+def test_rounds_keep_the_plain_array_bits(scenario):
+    # 20 seeded tracks of 3 predict/update cycles per threshold, each update
+    # from the belief the last one made: 60 updates per threshold.
+    spec = SCENARIOS[scenario]()
+    dynamics = spec.state_model
+    for threshold in (-np.inf, 0.1, 1.0, np.inf):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = spec.prior
+            truth = state.mean + sample_gaussian(rng, state.cov, 1)[0]
+            for _ in range(3):
+                truth = dynamics.transition @ truth + sample_gaussian(rng, dynamics.noise_cov, 1)[0]
+                model = spec.measurement_generator(truth, rng)
+                prior = dynamics.predict(state)
+                state, trace = pukf_update(prior, model, threshold)
+                want, want_rounds = plain_array_rounds(prior, model, threshold)
+                assert bits(state.mean) == bits(want.mean)
+                assert bits(state.cov) == bits(want.cov)
+                assert len(trace.rounds) == len(want_rounds)
+                for got, (lambdas, k, mean, cov) in zip(trace.rounds, want_rounds):
+                    assert got.split_k == k
+                    for a, b in ((got.lambdas, lambdas), (got.mean, mean), (got.cov, cov)):
+                        assert bits(a) == bits(b)
 
 
 class TestMixingInvariance:

@@ -77,14 +77,14 @@ def test_tracer_installs_counts_and_restores_the_package():
         # One innovation solve per Kalman correction: iekf@2 and ruf@2 make
         # two per update, pukf one per round.
         "core._solve_spd": 3 * (1 + 1 + 1 + 1 + 2 + 2) + rounds,
-        # The ukf's factor of (n + lambda) P per update, and pukf's prior factor
-        # in every round after the first.  ekf2n and pukf's first round read
-        # the prior's kept factor, GaussianState.sqrt_cov, and pukf's noise
-        # factor is the model's own sqrt_noise.
-        "core.matrix_sqrt": 3 + (rounds - 3),
-        # The scenario prior; per step 7 predictions and 7 posteriors (pukf's
-        # rounds carry plain arrays).
-        "core.GaussianState": 1 + 3 * (7 + 7),
+        # The ukf's factor of (n + lambda) P per update.  ekf2n and every pukf
+        # round read the belief's kept factor, GaussianState.sqrt_cov, and
+        # pukf's noise factor is the model's own sqrt_noise.
+        "core.matrix_sqrt": 3,
+        # The scenario prior; per step 7 predictions and 7 posteriors, pukf's
+        # being its last round's state; and one more state for each pukf
+        # round after the first of its update.
+        "core.GaussianState": 1 + 3 * (7 + 7) + (rounds - 3),
         "evaluation.ellipsoid_coverage": 7 * 3,
         "evaluation.error_quantiles": 7 * 3,
         # Truth: the initial state and process and measurement noise per
