@@ -14,6 +14,7 @@ from .baselines import (
     ekf_update,
     iekf_update,
     log_likelihood,
+    particle_step,
     propagate_particles,
     resample,
     ruf_update,
@@ -54,6 +55,7 @@ from .errors import (
 from .evaluation import (
     DEFAULT_PROBS,
     Grid2D,
+    KlContext,
     ellipsoid_coverage,
     error_quantiles,
     kl_divergence_grid,

@@ -4,9 +4,9 @@ These are the comparison points for the partitioned filter.  The Kalman-
 style updates all finish in the shared correction ``core._correct``; the
 differences are only in how the predicted measurement moments are obtained
 (first-order Jacobian, second-order traces, sigma points, iteration, or
-repeated reduced-weight updates).  The particle filter's step is
-``weight_particles`` followed by ``resample``; the harness's particle
-reference takes the same two steps.
+repeated reduced-weight updates).  The particle filter and the harness's
+particle reference take the same step, ``particle_step``: ``weight_particles``
+followed by ``resample``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "propagate_particles",
     "log_likelihood",
     "weight_particles",
+    "particle_step",
     "bootstrap_pf_step",
     "sample_gaussian",
 ]
@@ -290,9 +291,10 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
 
     A particle whose predicted measurement overflows or is otherwise
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
-    The quadratic form solves with LAPACK ``dpotrs`` against the model's
-    ``sqrt_noise``, the factor checked when the model was built.  What
-    ``func`` returns is never written to: it may be the caller's array.
+    The quadratic form solves with LAPACK ``dpotrs`` against the model's ``sqrt_noise``,
+    checked when the model was built; a diagonal one gives dpotrs's bits as two products
+    by 1/l per row of its (d, N) Fortran layout (-inf, not NaN, where r / l^2 overflows).
+    What ``func`` returns is never written to: it may be the caller's array.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     with np.errstate(invalid="ignore"):
@@ -301,10 +303,15 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     if not every:
         finite = np.isfinite(residual).all(axis=1)
         residual = residual[finite]
-    quad = np.empty(0)
-    if residual.shape[0]:
+    if np.tril(model.sqrt_noise, -1).any():
         solved = dpotrs(model.sqrt_noise, residual.T, lower=1)[0]  # (d, N)
-        quad = -0.5 * np.einsum("dn,dn->n", residual.T, solved)
+    else:  # column by column: one broadcast multiply over (d, N) is twice as slow at d = 2
+        solved = np.empty(residual.shape[::-1], order="F")
+        with np.errstate(over="ignore"):  # an inf, where dpotrs overflows silently
+            for k, inv in enumerate(1.0 / np.diag(model.sqrt_noise)):
+                np.multiply(residual[:, k], inv, out=solved[k])
+                solved[k] *= inv
+    quad = -0.5 * np.einsum("dn,dn->n", residual.T, solved)
     if every:
         return quad
     out = np.full(particles.shape[0], -np.inf)
@@ -313,10 +320,7 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
 
 
 def weight_particles(
-    cloud: ParticleCloud,
-    state_model: LinearStateModel,
-    model: MeasurementModel,
-    rng: np.random.Generator,
+    cloud: ParticleCloud, state_model: LinearStateModel, model: MeasurementModel, rng
 ) -> ParticleCloud:
     """Propagate a cloud and weight it by the measurement likelihood.
 
@@ -341,16 +345,18 @@ def weight_particles(
     return ParticleCloud(particles, weights)
 
 
-def bootstrap_pf_step(
-    cloud: ParticleCloud,
-    state_model: LinearStateModel,
-    model: MeasurementModel,
-    rng,
-) -> ParticleCloud:
-    """One bootstrap particle-filter step: :func:`weight_particles`, then
-    :func:`resample` unless the weighting came back degenerate."""
-    rng = np.random.default_rng(rng)
+def particle_step(
+    cloud: ParticleCloud, state_model: LinearStateModel, model: MeasurementModel, rng
+) -> tuple[ParticleCloud, ParticleCloud]:
+    """One bootstrap step: the :func:`weight_particles` cloud, and the
+    :func:`resample` of it, which is drawn even when it came back degenerate."""
     weighted = weight_particles(cloud, state_model, model, rng)
-    if weighted.degenerate:
-        return weighted
-    return resample(weighted, rng)
+    return weighted, resample(weighted, rng)
+
+
+def bootstrap_pf_step(
+    cloud: ParticleCloud, state_model: LinearStateModel, model: MeasurementModel, rng
+) -> ParticleCloud:
+    """One bootstrap PF step: :func:`particle_step`'s resampled cloud, or a degenerate weighting."""
+    weighted, resampled = particle_step(cloud, state_model, model, np.random.default_rng(rng))
+    return weighted if weighted.degenerate else resampled

@@ -25,6 +25,7 @@ __all__ = [
     "error_quantiles",
     "ellipsoid_coverage",
     "Grid2D",
+    "KlContext",
     "kl_divergence_grid",
     "kl_divergence_mass",
 ]
@@ -165,38 +166,46 @@ class Grid2D:
         my = 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
         return mx, my
 
+    def kl_context(self, cloud: ParticleCloud) -> "KlContext":
+        """The cloud's :class:`KlContext` on this grid; GridTooSmall as :meth:`mass`."""
+        mass = self.mass(cloud).reshape(-1)
+        cells = np.flatnonzero(mass > 0.0)
+        (mx, my), ny = self.midpoints(), self.y_edges.size - 1
+        return KlContext(self, np.column_stack((mx[cells // ny], my[cells % ny])), mass[cells])
 
-def kl_divergence_grid(
-    reference: ParticleCloud, approx: GaussianState, grid: Grid2D
-) -> float:
-    """Gridded KL divergence from a particle reference to a Gaussian:
-    :func:`kl_divergence_mass` of the reference's :meth:`Grid2D.mass`."""
-    return kl_divergence_mass(grid.mass(reference), approx, grid)
+
+@dataclass(frozen=True)
+class KlContext:
+    """One step's reference for :func:`kl_divergence_mass`, built once for every filter: the
+    grid, and the midpoints (k, 2) and mass (k,) of its occupied cells in row-major order."""
+
+    grid: Grid2D
+    points: np.ndarray
+    mass: np.ndarray
 
 
-def kl_divergence_mass(mass: np.ndarray, approx: GaussianState, grid: Grid2D) -> float:
-    """Gridded KL divergence from binned reference mass to a Gaussian.
+def kl_divergence_grid(reference: ParticleCloud, approx: GaussianState, grid: Grid2D) -> float:
+    """:func:`kl_divergence_mass` of a particle reference's :class:`KlContext` on ``grid``."""
+    return kl_divergence_mass(grid.kl_context(reference), approx)
 
-    ``mass`` is the reference mass per cell from :meth:`Grid2D.mass`; the
-    Gaussian mass is the marginal density (over the position plane) at the
-    cell midpoint times the cell area, floored at 1e-300.  Cells with no
-    reference mass contribute zero.  Returns +inf when the approximation
-    is non-finite or its marginal covariance is singular: its smallest
-    eigenvalue is at most 1e6 * eps times its largest in magnitude.
-    """
+
+def kl_divergence_mass(context: KlContext, approx: GaussianState) -> float:
+    """Gridded KL divergence from a step's binned reference mass to a Gaussian: the
+    sum of p log(p / q) over the context's occupied cells, p their reference mass and
+    q the marginal density (over the position plane) at their midpoints times the cell
+    area, floored at 1e-300.  +inf when the approximation is non-finite or its marginal
+    covariance singular: its smallest eigenvalue is at most 1e6 * eps times its largest
+    in magnitude."""
     marg_mean = approx.mean[_PLANE]
     marg_cov = approx.cov[np.ix_(_PLANE, _PLANE)]
     if not (np.isfinite(marg_mean).all() and np.isfinite(marg_cov).all()):
         return float("inf")
-    mx, my = grid.midpoints()
-    points = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1).reshape(-1, 2)
     w, u = _sym_eig(dsyevr, marg_cov, True)  # scipy.linalg.eigh's driver and bits
     if w[0] <= 1e6 * np.finfo(float).eps * np.abs(w).max():
         return float("inf")
-    white = (points - marg_mean) @ np.multiply(u, np.sqrt(1.0 / w))
+    # C-ordered, so that one occupied cell takes the bits of a row of the full grid
+    white = (context.points - marg_mean) @ np.multiply(u, np.sqrt(1.0 / w), order="C")
     maha = np.sum(np.square(white), axis=-1)
     density = np.exp(-0.5 * (2 * np.log(2 * np.pi) + np.sum(np.log(w)) + maha))
-    q = np.maximum(density * grid.cell_area, _DENSITY_FLOOR)
-    p = mass.reshape(-1)
-    occupied = p > 0.0
-    return float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])))
+    q = np.maximum(density * context.grid.cell_area, _DENSITY_FLOOR)
+    return float(np.sum(context.mass * np.log(context.mass / q)))

@@ -344,13 +344,12 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
 
     for t, (truth, measurement) in enumerate(sim):
         if cfg.ref_particles:
-            weighted = baselines.weight_particles(
+            weighted, ref_cloud = baselines.particle_step(
                 ref_cloud, spec.state_model, measurement, ref_rng
             )
             ref_degenerate += weighted.degenerate
-            grid = Grid2D.from_cloud(weighted)
-            mass = grid.mass(weighted)
-            ref_cloud = baselines.resample(weighted, ref_rng)
+            context = Grid2D.from_cloud(weighted).kl_context(weighted)
+            del weighted  # not alive through the next step's weighting
 
         for entry in filters.values():
             adapter, rng, state, rec = entry
@@ -358,16 +357,14 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
             if rec["diverged_at"] is None:
                 t0 = time.perf_counter()
                 try:
-                    state = entry[2] = adapter.step(
-                        state, spec.state_model, measurement, rng
-                    )
+                    state = entry[2] = adapter.step(state, spec.state_model, measurement, rng)
                     est = adapter.estimate(state)
                 except (NumericalFailure, np.linalg.LinAlgError):  # LinAlgError: eigh did not converge
                     rec["diverged_at"] = t
                 else:
                     rec["update_seconds"].append(time.perf_counter() - t0)
             if est is None:  # diverged at this step or before
-                error, mean, inside, kl = math.inf, None, _OUTSIDE, math.inf
+                error, mean, inside = math.inf, None, _OUTSIDE
             else:
                 error = float(np.linalg.norm(est.mean - truth))
                 mean = [float(v) for v in est.mean]
@@ -375,13 +372,12 @@ def _single_run(spec: ScenarioSpec, cfg: CampaignConfig, run_idx: int) -> dict:
                     inside = ellipsoid_coverage(truth, est, DEFAULT_PROBS)
                 except NumericalFailure:
                     inside = _OUTSIDE
-                kl = kl_divergence_mass(mass, est, grid) if cfg.ref_particles else None
             rec["errors"].append(error)
             rec["means"].append(mean)
             for key, ok in zip(_P_KEYS, inside):
                 rec["coverage"][key].append(bool(ok))
             if cfg.ref_particles:
-                rec["kl"].append(kl)
+                rec["kl"].append(math.inf if est is None else kl_divergence_mass(context, est))
 
     record["ref_degenerate_steps"] = ref_degenerate
     return record
@@ -513,6 +509,8 @@ def run_campaign(
     rerun of the same semantic config and code, with BLAS on one thread.
     """
     spec = _resolve_scenario(cfg, scenario_spec)
+    if cfg.ref_particles and spec.prior.dim < 2:
+        raise ConfigError(f"ref_particles needs state dimensions 0 and 1, got {spec.prior.dim}-D")
 
     want_hash = config_hash(cfg)
     done = {}

@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrs
 
 from pukf import (
     AnalyticMeasurementModel,
@@ -496,6 +497,51 @@ class TestLogLikelihood:
         assert len(calls) == 30
         residual = 0.2 - (particles[:, 0] - particles[:, 1])
         np.testing.assert_allclose(got, -residual**2, atol=1e-12)
+
+
+def dpotrs_log_likelihood(model, particles):
+    """The log-likelihood before its diagonal case: every factor through dpotrs."""
+    with np.errstate(invalid="ignore"):
+        residual = model.value - model.evaluate(particles)
+    out = np.full(particles.shape[0], -np.inf)
+    finite = np.isfinite(residual).all(axis=1)
+    if np.any(finite):
+        solved = dpotrs(model.sqrt_noise, residual[finite].T, lower=1)[0]
+        out[finite] = -0.5 * np.einsum("dn,dn->n", residual[finite].T, solved)
+    return out
+
+
+class TestDiagonalNoiseSolve:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        count=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+        noise_exp=st.floats(-150.0, 150.0),
+        spread=st.floats(0.0, 150.0),
+        residual_exp=st.floats(-300.0, 300.0),
+        bad=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_dpotrs(self, d, count, noise_exp, spread, residual_exp, bad, seed):
+        # Factor entries over 1e+-150, residuals up to 1e+-300, so r / l^2
+        # over- and underflows; NaN and +-inf rows.  Where an overflow makes
+        # dpotrs compute 0 * inf, its NaN is the product's -inf.
+        rng = np.random.default_rng(seed)
+        factor = 10.0 ** np.clip(noise_exp + spread * rng.uniform(-1, 1, size=d), -150, 150)
+        model = MeasurementModel(func=lambda x: x, value=np.zeros(d), noise_cov=np.diag(factor**2))
+        assert not np.tril(model.sqrt_noise, -1).any()
+        exps = np.clip(residual_exp + 2 * spread * rng.uniform(-1, 1, size=(count, d)), -300, 300)
+        particles = rng.normal(size=(count, d)) * 10.0**exps
+        rows = rng.random(count) < bad
+        particles[rows, rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf], size=rows.sum())
+        got = log_likelihood(model, particles)
+        want = dpotrs_log_likelihood(model, particles)
+        overflow = np.isnan(want)
+        assert same_bits(got[~overflow], want[~overflow])
+        assert np.all(got[overflow] == -np.inf)
+        assert np.all(got[rows] == -np.inf)
+        if d == 1:  # no 0 * inf in a 1 x 1 solve
+            assert not overflow.any()
 
 
 class TestBootstrapPfStep:

@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dsyevr
 
 from pukf import (
     DEFAULT_PROBS,
@@ -23,6 +24,7 @@ from pukf import (
     kl_divergence_grid,
     kl_divergence_mass,
 )
+from pukf.core import _sym_eig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -331,6 +333,7 @@ REFERENCE = ParticleCloud.uniform(
 )
 REFERENCE_GRID = Grid2D.from_cloud(REFERENCE)
 REFERENCE_MASS = REFERENCE_GRID.mass(REFERENCE)
+REFERENCE_CONTEXT = REFERENCE_GRID.kl_context(REFERENCE)
 
 
 class TestKlDivergenceMass:
@@ -353,5 +356,93 @@ class TestKlDivergenceMass:
         rest = random_cov(dim - 2, rng, rng.uniform(0.1, 10.0, size=dim - 2))
         cov = scipy.linalg.block_diag(plane, rest)
         approx = GaussianState(rng.normal(scale=0.5, size=dim), cov)
-        got = kl_divergence_mass(REFERENCE_MASS, approx, REFERENCE_GRID)
+        got = kl_divergence_mass(REFERENCE_CONTEXT, approx)
         assert got == kl_with_scipy_stats(REFERENCE_MASS, approx, REFERENCE_GRID)
+
+
+def kl_full_grid(mass, approx, grid):
+    """The gridded KL that the occupied-cell context replaced: the density at
+    all cells of the grid, then the sum over the occupied ones."""
+    marg_mean = approx.mean[[0, 1]]
+    marg_cov = approx.cov[np.ix_([0, 1], [0, 1])]
+    if not (np.isfinite(marg_mean).all() and np.isfinite(marg_cov).all()):
+        return float("inf")
+    mx, my = grid.midpoints()
+    points = np.stack(np.meshgrid(mx, my, indexing="ij"), axis=-1).reshape(-1, 2)
+    w, u = _sym_eig(dsyevr, marg_cov, True)
+    if w[0] <= SINGULAR_CUT * np.abs(w).max():
+        return float("inf")
+    white = (points - marg_mean) @ np.multiply(u, np.sqrt(1.0 / w))
+    maha = np.sum(np.square(white), axis=-1)
+    density = np.exp(-0.5 * (2 * np.log(2 * np.pi) + np.sum(np.log(w)) + maha))
+    q = np.maximum(density * grid.cell_area, 1e-300)
+    p = mass.reshape(-1)
+    occupied = p > 0.0
+    return float(np.sum(p[occupied] * np.log(p[occupied] / q[occupied])))
+
+
+class TestKlContext:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 5, 60, 700, 20_000]),
+        cloud=st.sampled_from(["gaussian", "clusters", "heavy", "point"]),
+        skew=st.floats(0.0, 8.0),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        approx=st.sampled_from(["near", "far", "tight", "wide", "singular", "nan"]),
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_occupied_cells_give_the_full_grid_bits(
+        self, n, cloud, skew, scale, approx, dim, seed
+    ):
+        # Sparse occupancy comes from few particles, tight clusters, heavy
+        # tails and skewed weights; singular and non-finite Gaussians give inf.
+        rng = np.random.default_rng(seed)
+        if cloud == "gaussian":
+            particles = rng.normal(size=(n, dim))
+        elif cloud == "clusters":
+            centres = rng.normal(scale=20.0, size=(3, dim))
+            particles = centres[rng.integers(3, size=n)] + 0.01 * rng.normal(size=(n, dim))
+        elif cloud == "heavy":
+            particles = rng.standard_cauchy(size=(n, dim))
+        else:
+            particles = np.tile(rng.normal(size=dim), (n, 1))
+        particles *= scale
+        weights = np.exp(skew * rng.normal(size=n))
+        reference = ParticleCloud(particles, weights / weights.sum())
+        grid = Grid2D.from_cloud(reference)
+        mass = grid.mass(reference)
+        context = grid.kl_context(reference)
+        assert np.array_equal(context.grid.x_edges, grid.x_edges)
+        assert np.array_equal(context.grid.y_edges, grid.y_edges)
+        assert np.array_equal(context.mass, mass[mass > 0.0])
+
+        mean = reference.mean() + scale * rng.normal(size=dim) * (approx == "far") * 5.0
+        spread = {"tight": 1e-3, "wide": 1e2}.get(approx, 1.0) * scale**2
+        ratio = 0.0 if approx == "singular" else rng.uniform(0.05, 1.0)
+        plane = random_cov(2, rng, [spread, ratio * spread])
+        cov = scipy.linalg.block_diag(plane, spread * np.eye(dim - 2))
+        state = GaussianState(mean, cov)
+        if approx == "nan":
+            object.__setattr__(state, "mean", np.where(np.arange(dim) == 1, np.nan, mean))
+        got = kl_divergence_mass(context, state)
+        want = kl_full_grid(mass, state, grid)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert (got == np.inf) == (approx in ("singular", "nan"))
+        assert kl_divergence_grid(reference, state, grid) == got
+
+    def test_only_occupied_cells_in_row_major_order(self):
+        cloud = ParticleCloud.uniform([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        grid = Grid2D(x_edges=np.linspace(0.0, 1.0, 3), y_edges=np.linspace(0.0, 2.0, 5))
+        context = grid.kl_context(cloud)
+        # Cells (0, 0), (0, 2), (1, 0) and (1, 2), flat 0, 2, 4 and 6.
+        np.testing.assert_array_equal(
+            context.points, [[0.25, 0.25], [0.25, 1.25], [0.75, 0.25], [0.75, 1.25]]
+        )
+        np.testing.assert_array_equal(context.mass, [0.25] * 4)
+
+    def test_too_small_a_grid_fails_when_the_context_is_built(self):
+        cloud = ParticleCloud.uniform(np.random.default_rng(12).normal(size=(500, 2)))
+        tiny = Grid2D(x_edges=np.linspace(-0.1, 0.1, 11), y_edges=np.linspace(-0.1, 0.1, 11))
+        with pytest.raises(GridTooSmall):
+            tiny.kl_context(cloud)

@@ -330,6 +330,30 @@ class TestRunCampaign:
         kl = report.value("pukf@1", "kl_median", step="all")
         assert np.isfinite(kl) and kl > -0.05
 
+    def test_kl_reference_on_a_one_dimensional_state_is_a_config_error(self, tmp_path):
+        # The KL bins state dimensions 0 and 1, so a 1-D state has no position
+        # plane; the campaign stops before its first run, and writes nothing.
+        spec = ScenarioSpec(
+            name="scalar",
+            prior=GaussianState([0.0], [[1.0]]),
+            state_model=LinearStateModel([[1.0]], [[0.1]]),
+            measurement_generator=lambda truth, rng: AnalyticMeasurementModel(
+                func=lambda x: x, value=truth + rng.normal(size=1), noise_cov=[[0.5]],
+                jacobian=lambda x: np.eye(1), hessians=lambda x: np.zeros((1, 1, 1)),
+            ),
+        )
+        out = tmp_path / "scalar.csv"
+        cfg = CampaignConfig(
+            scenario="polynomial", filters=("ekf",), runs=2, steps=2, ref_particles=100,
+            out=str(out),
+        )
+        with pytest.raises(ConfigError, match="dimensions 0 and 1"):
+            run_campaign(cfg, scenario_spec=spec)
+        assert not (tmp_path / "scalar.csv.runs.jsonl").exists()
+        # Without the reference the same scenario runs.
+        _, records = run_campaign(dataclasses.replace(cfg, ref_particles=0, out=None), spec)
+        assert [rec["filters"]["ekf"]["diverged_at"] for rec in records] == [None, None]
+
     def test_timing_rows_opt_in(self):
         kwargs = dict(scenario="polynomial", filters=("ekf",), runs=1, steps=1)
         without, _ = run_campaign(CampaignConfig(**kwargs))

@@ -19,10 +19,13 @@ def test_ref_kernels_prints_each_kernels_median():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result.keys() == {"particles", "steps", "repeat", "seed", "ms_per_step_median"}
+    assert result.keys() == {"particles", "steps", "repeat", "seed", "kernels"}
     assert (result["particles"], result["steps"], result["repeat"]) == (2000, 2, 1)
-    assert result["ms_per_step_median"].keys() == {
+    assert result["kernels"].keys() == {
         "sample_gaussian", "propagate_particles", "measurement func", "log_likelihood",
-        "weight_particles", "Grid2D.from_cloud", "Grid2D.mass", "kl_divergence_mass",
-        "resample", "step (one pass)",
+        "weight_particles", "resample", "particle_step", "Grid2D.from_cloud", "Grid2D.mass",
+        "Grid2D.kl_context", "kl_divergence_mass", "step (one pass)",
     }
+    for kernel in result["kernels"].values():
+        assert kernel.keys() == {"ms_per_step_median", "minflt_per_run"}
+        assert kernel["ms_per_step_median"] >= 0.0 and kernel["minflt_per_run"] >= 0
