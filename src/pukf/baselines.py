@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dsyevd
+from scipy.linalg.lapack import dpotrs
 
 from .core import (
     AnalyticMeasurementModel,
@@ -22,7 +22,7 @@ from .core import (
     LinearStateModel,
     MeasurementModel,
     _correct,
-    _sym_eig,
+    _eig_sqrt,
     matrix_sqrt,
     symmetrize,
 )
@@ -220,9 +220,8 @@ def sample_gaussian(rng: np.random.Generator, cov: np.ndarray, size: int) -> np.
     LAPACK ``dsyevd``, so exactly singular covariances (including all-zero
     process noise) sample cleanly.
     """
-    w, u = _sym_eig(dsyevd, np.asarray(cov, dtype=float), True)
-    u = np.ascontiguousarray(u)  # numpy's layout, so the product keeps its bits
-    return rng.standard_normal((size, w.shape[0])) @ (u * np.sqrt(abs(w))).T
+    root = _eig_sqrt(np.asarray(cov, dtype=float))
+    return rng.standard_normal((size, root.shape[0])) @ root.T
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -293,7 +292,7 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     non-finite gets -inf (zero weight) instead of poisoning the whole batch.
     The quadratic form solves with LAPACK ``dpotrs`` against the model's ``sqrt_noise``,
     checked when the model was built; a diagonal one gives dpotrs's bits as two products
-    by 1/l per row of its (d, N) Fortran layout (-inf, not NaN, where r / l^2 overflows).
+    by 1/l per row of its (d, N) Fortran layout.  A form that overflows is -inf, not NaN.
     What ``func`` returns is never written to: it may be the caller's array.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
@@ -303,7 +302,8 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
     if not every:
         finite = np.isfinite(residual).all(axis=1)
         residual = residual[finite]
-    if np.tril(model.sqrt_noise, -1).any():
+    dense = np.tril(model.sqrt_noise, -1).any()
+    if dense:
         solved = dpotrs(model.sqrt_noise, residual.T, lower=1)[0]  # (d, N)
     else:  # column by column: one broadcast multiply over (d, N) is twice as slow at d = 2
         solved = np.empty(residual.shape[::-1], order="F")
@@ -312,6 +312,8 @@ def log_likelihood(model: MeasurementModel, particles: np.ndarray) -> np.ndarray
                 np.multiply(residual[:, k], inv, out=solved[k])
                 solved[k] *= inv
     quad = -0.5 * np.einsum("dn,dn->n", residual.T, solved)
+    if dense:  # a form that overflows inside dpotrs comes out as 0 * inf or inf - inf
+        quad[np.isnan(quad)] = -np.inf
     if every:
         return quad
     out = np.full(particles.shape[0], -np.inf)

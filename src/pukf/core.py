@@ -40,8 +40,9 @@ COND_LIMIT = 1e12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (A + A') / 2 of a square matrix."""
-    return 0.5 * (a + a.T)
+    """The symmetric part (A + A') / 2 of a square matrix, halved first: finite for finite A."""
+    h = 0.5 * a
+    return h + h.T
 
 
 def _square(a, name: str) -> np.ndarray:
@@ -68,9 +69,15 @@ def _sym_eig(driver, a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarr
     return w, v
 
 
+def _eig_sqrt(cov: np.ndarray) -> np.ndarray:
+    """The eigen square root u sqrt|w|, u C-contiguous as numpy.linalg.eigh's, for its bits."""
+    w, u = _sym_eig(dsyevd, cov, True)
+    return np.ascontiguousarray(u) * np.sqrt(abs(w))
+
+
 def _check_psd(cov: np.ndarray, name: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The symmetrized covariance and its Cholesky factor, ``matrix_sqrt``'s bits, or
-    None where only the eigenvalue rule, which every factorable matrix passes, holds."""
+    """The one PSD rule: the symmetrized, finite covariance and its ``dpotrf`` factor, or None
+    where only the eigenvalue rule (w_min >= -PSD_SLACK w_max) accepts it; else it raises."""
     cov = symmetrize(_covariance(cov, name))
     if not np.isfinite(cov).all():
         raise NotPositiveSemiDefinite(f"{name} contains non-finite entries")
@@ -92,7 +99,7 @@ class GaussianState:
 
     The covariance is symmetrized on construction and must be PSD up to a
     relative slack of 1e-9 on the smallest eigenvalue; :attr:`sqrt_cov` is
-    the Cholesky factor that validated it.
+    the Cholesky factor that validated it, or else its eigen square root.
     """
 
     mean: np.ndarray
@@ -120,8 +127,8 @@ class GaussianState:
 
     @property
     def sqrt_cov(self) -> np.ndarray:
-        """``matrix_sqrt(cov)``: the kept factor (its bits), or the jittered one."""
-        return matrix_sqrt(self.cov) if self._cholesky is None else self._cholesky
+        """``matrix_sqrt(cov)``: the kept factor (its bits), or else the eigen root."""
+        return _eig_sqrt(self.cov) if self._cholesky is None else self._cholesky
 
 
 @dataclass(frozen=True)
@@ -223,35 +230,18 @@ class LinearStateModel:
 
 
 def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor L with L L' = cov.
+    """A square root S, S S' = cov: the C-contiguous LAPACK ``dpotrf`` factor (lower,
+    non-negative diagonal) or, where that fails, ``sample_gaussian``'s u sqrt|w|.
 
-    If the factorization fails, the matrix is retried with a jitter of
-    1e-12 * trace/n added to the diagonal, escalating tenfold at most three
-    times before NotPositiveSemiDefinite is raised.  The factor comes from
-    LAPACK ``dpotrf``, as every Cholesky step in the package does, and is
-    returned C-contiguous; its diagonal is non-negative.
+    An asymmetry above 1e-12 relative to the largest entry raises NonSymmetricInput; the
+    symmetrized matrix then passes :class:`GaussianState`'s check or raises as it does.
     """
     cov = _covariance(cov, "covariance")
     asym = np.abs(cov - cov.T).max()
     if asym > 1e-12 * (1.0 + np.abs(cov).max()):
-        raise NonSymmetricInput(
-            f"covariance asymmetry {asym:.3e} exceeds tolerance"
-        )
-    if not np.isfinite(cov).all():
-        raise NotPositiveSemiDefinite("covariance contains non-finite entries")
-    n = cov.shape[0]
-    jitter = 1e-12 * cov.trace() / n
-    attempt = cov
-    for k in range(5):
-        factor, info = dpotrf(attempt, lower=1, clean=1)
-        if info == 0:
-            return np.ascontiguousarray(factor)
-        if k == 4 or jitter <= 0.0:
-            break
-        attempt = cov + (jitter * 10.0**k) * np.eye(n)
-    raise NotPositiveSemiDefinite(
-        "covariance is not positive semi-definite (Cholesky failed after jitter)"
-    )
+        raise NonSymmetricInput(f"covariance asymmetry {asym:.3e} exceeds tolerance")
+    cov, factor = _check_psd(cov, "covariance")
+    return _eig_sqrt(cov) if factor is None else factor
 
 
 def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +263,12 @@ def sym_eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = np.abs(s - s.T).max() if s.size else 0.0
     if asym > 1e-10 * scale:
         raise NonSymmetricInput(f"asymmetry {asym:.3e} exceeds 1e-10 relative tolerance")
-    w, u = _sym_eig(dsyevd, symmetrize(s), True)
+    return _eig_ascending(symmetrize(s))
+
+
+def _eig_ascending(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_eig_ascending`, unchecked: for finite symmetric matrices the package built."""
+    w, u = _sym_eig(dsyevd, s, True)
     u = np.ascontiguousarray(u)  # Fortran order sends later matmuls down other BLAS paths
     if u.size:
         flip = u[np.abs(u).argmax(axis=0), np.arange(len(u))] < 0.0

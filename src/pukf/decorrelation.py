@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import MeasurementModel, _covariance, symmetrize, sym_eig_ascending
-from .errors import SingularNoiseSqrt
+from .core import MeasurementModel, _covariance, _eig_ascending, _square, symmetrize
+from .errors import NonFiniteEvaluation, SingularNoiseSqrt
 
 __all__ = [
     "DecorrelationResult",
@@ -90,9 +90,9 @@ def decorrelate(
     -------
     DecorrelationResult
         With D = U' inv(sqrt_noise) for the eigenvectors U of
-        inv(sqrt_noise) Xi inv(sqrt_noise)'.
+        inv(sqrt_noise) Xi inv(sqrt_noise)'; NonFiniteEvaluation if that is not finite.
     """
-    Xi = symmetrize(np.asarray(Xi, dtype=float))
+    Xi = symmetrize(_square(Xi, "spread correction"))
     if sqrt_noise is None:
         whitened = Xi
     else:
@@ -106,9 +106,11 @@ def decorrelate(
         # stays on one thread at these sizes.  For two or more right-hand
         # columns trtrs is this same trsm, so the bits do not change.
         upper = sqrt_noise.T
-        half = dtrsm(1.0, upper, np.asarray_chkfinite(Xi), lower=0, trans_a=1)
+        half = dtrsm(1.0, upper, Xi, lower=0, trans_a=1)
         whitened = symmetrize(dtrsm(1.0, upper, half.T, lower=0, trans_a=1).T)
-    u, w = sym_eig_ascending(whitened)
+    if not np.isfinite(whitened).all():
+        raise NonFiniteEvaluation("whitened spread correction contains non-finite entries")
+    u, w = _eig_ascending(whitened)
     lambdas = np.clip(w, 0.0, None)
     if sqrt_noise is None:
         d_mat = u.T

@@ -453,6 +453,14 @@ class TestLogLikelihood:
         assert np.array_equal(got, cho_log_likelihood(model, particles))
         assert np.all(got[rows] == -np.inf)
 
+    def test_an_overflowing_dense_form_is_minus_inf(self):
+        # dpotrs computes inf - inf for this finite residual, which would be NaN
+        noise = [[1e-300, 5e-301], [5e-301, 1e-300]]
+        model = MeasurementModel(func=lambda x: x, value=np.zeros(2), noise_cov=noise)
+        assert np.tril(model.sqrt_noise, -1).any()
+        got = log_likelihood(model, np.array([[1e10, 1e10], [0.0, 0.0]]))
+        assert got.tolist() == [-np.inf, 0.0]
+
     def test_matches_scipy_up_to_constant(self):
         rng = np.random.default_rng(13)
         h_mat = rng.normal(size=(2, 3))

@@ -63,13 +63,16 @@ class TestMatrixSqrt:
             assert lower.flags.c_contiguous
             assert np.array_equal(lower, dpotrf(p, lower=1, clean=1)[0])
 
-    def test_jitter_recovers_near_psd(self):
-        # smallest eigenvalue a hair negative: jitter should absorb it
+    def test_near_psd_gets_the_eigen_square_root(self):
+        # smallest eigenvalue a hair negative, inside the PSD slack: where
+        # dpotrf fails, the root is sample_gaussian's u sqrt|w|
         u, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
         p = u @ np.diag([2.0, 1.0, 0.5, -1e-14]) @ u.T
         p = 0.5 * (p + p.T)
-        lower = matrix_sqrt(p)
-        np.testing.assert_allclose(lower @ lower.T, p, atol=1e-9)
+        root = matrix_sqrt(p)
+        np.testing.assert_allclose(root @ root.T, p, atol=1e-9)
+        w, v = np.linalg.eigh(p)
+        assert np.array_equal(root, v * np.sqrt(abs(w)))
 
     def test_indefinite_raises(self):
         with pytest.raises(NotPositiveSemiDefinite):
@@ -176,9 +179,10 @@ class TestGaussianState:
         np.testing.assert_array_equal(state.sqrt_cov, [[2.0, 0.0], [1.0, 2.0]])
         with pytest.raises(TypeError):
             GaussianState([0.0], [[1.0]], _cholesky=np.eye(1))
-        # PSD but singular: no factor validated it, so sqrt_cov is the jittered one
+        # PSD but singular: no factor validated it, so sqrt_cov is the eigen root
         singular = GaussianState([0.0, 0.0], np.ones((2, 2)))
         assert np.array_equal(singular.sqrt_cov, matrix_sqrt(singular.cov))
+        np.testing.assert_allclose(singular.sqrt_cov @ singular.sqrt_cov.T, np.ones((2, 2)))
 
 
 class TestMeasurementModel:
@@ -343,6 +347,25 @@ def outcome(call, *args):
     return None
 
 
+def check_accepted_covariance(cov):
+    """A covariance the rule accepts gives a finite sqrt_cov, matrix_sqrt's bits,
+    with L L' within the rule's slack: u sqrt|w| moves each eigenvalue below
+    zero, at least -PSD_SLACK times the largest, by twice its size."""
+    state = GaussianState(np.zeros(len(cov)), cov)
+    root = state.sqrt_cov
+    assert np.isfinite(root).all() and root.flags.c_contiguous
+    assert bits(root).tolist() == bits(matrix_sqrt(state.cov)).tolist()
+    top = max(np.linalg.eigvalsh(state.cov)[-1], 0.0)
+    assert np.abs(root @ root.T - state.cov).max() <= (2 * PSD_SLACK + 1e-13) * top
+
+
+def test_a_covariance_inside_the_slack_has_a_square_root():
+    # dpotrf fails on it and the eigenvalue rule accepts it
+    cov = np.diag([1.0, 0.0, -5e-10])
+    assert dpotrf(cov, lower=1)[1] != 0
+    check_accepted_covariance(cov)
+
+
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(
     d=st.integers(1, 6),
@@ -374,12 +397,4 @@ def test_the_factor_first_check_decides_as_the_eigenvalue_rule(
     assert outcome(GaussianState, np.zeros(d), cov) is want
     assert outcome(LinearStateModel, np.eye(d), cov) is want
     if want is None:
-        state = GaussianState(np.zeros(d), cov)
-        try:
-            want_sqrt = matrix_sqrt(state.cov)
-        except NotPositiveSemiDefinite:  # a singular matrix jitter cannot fix
-            with pytest.raises(NotPositiveSemiDefinite):
-                state.sqrt_cov
-        else:
-            assert bits(state.sqrt_cov).tolist() == bits(want_sqrt).tolist()
-            assert state.sqrt_cov.flags.c_contiguous
+        check_accepted_covariance(cov)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pukf import (
     GaussianState,
     MeasurementModel,
+    NonFiniteEvaluation,
     SingularNoiseSqrt,
     decorrelate,
     linearize,
@@ -135,6 +136,17 @@ class TestDecorrelate:
     def test_singular_noise_sqrt_rejected(self):
         with pytest.raises(SingularNoiseSqrt):
             decorrelate(np.eye(2), np.diag([1.0, 0.0]), 1.0)
+
+    def test_a_non_finite_whitened_matrix_is_a_numerical_failure(self):
+        # The same class with and without whitening, and where whitening a
+        # finite Xi by a tiny noise overflows.
+        for xi_mat, sqrt_noise in (
+            (np.diag([np.nan, 1.0]), None),
+            (np.diag([np.inf, 1.0]), np.eye(2)),
+            (np.diag([1e300, 1.0]), 1e-10 * np.eye(2)),
+        ):
+            with pytest.raises(NonFiniteEvaluation):
+                decorrelate(xi_mat, sqrt_noise, 1.0)
 
 
 class TestTransformModel:
