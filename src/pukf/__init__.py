@@ -40,6 +40,7 @@ from .decorrelation import (
 )
 from .errors import (
     ConfigError,
+    EigenSolverFailure,
     EmptySample,
     GridTooSmall,
     NonFiniteEvaluation,

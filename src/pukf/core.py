@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from .errors import (
+    EigenSolverFailure,
     NonFiniteEvaluation,
     NonSymmetricInput,
     NotPositiveSemiDefinite,
@@ -62,10 +63,10 @@ def _covariance(a, name: str) -> np.ndarray:
 def _sym_eig(driver, a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and Fortran-ordered eigenvectors of a symmetric lower
     triangle from one LAPACK call, with the bits of numpy.linalg.eigh (``dsyevd``)
-    or scipy.linalg.eigh (``dsyevr``); a failed call raises LinAlgError, as theirs."""
+    or scipy.linalg.eigh (``dsyevr``); a failed call raises EigenSolverFailure."""
     w, v, *_, info = driver(a, compute_v=int(vectors), lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"symmetric eigensolver failed (LAPACK info {info})")
+        raise EigenSolverFailure(f"symmetric eigensolver failed (LAPACK info {info})")
     return w, v
 
 
@@ -97,9 +98,9 @@ def _check_psd(cov: np.ndarray, name: str) -> tuple[np.ndarray, Optional[np.ndar
 class GaussianState:
     """Gaussian belief N(mean, cov) over an n-dimensional state.
 
-    The covariance is symmetrized on construction and must be PSD up to a
-    relative slack of 1e-9 on the smallest eigenvalue; :attr:`sqrt_cov` is
-    the Cholesky factor that validated it, or else its eigen square root.
+    A non-finite mean raises NonFiniteEvaluation.  The covariance, symmetrized,
+    must be PSD up to a relative slack of 1e-9 on its smallest eigenvalue, and
+    :attr:`sqrt_cov` is the Cholesky factor that validated it, or its eigen root.
     """
 
     mean: np.ndarray
@@ -111,7 +112,7 @@ class GaussianState:
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         if not np.isfinite(mean).all():
-            raise ValueError("mean contains non-finite entries")
+            raise NonFiniteEvaluation("mean contains non-finite entries")
         cov, factor = _check_psd(self.cov, "state covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(

@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 
-from .core import MeasurementModel, _covariance, _eig_ascending, _square, symmetrize
-from .errors import NonFiniteEvaluation, SingularNoiseSqrt
+from .core import MeasurementModel, _check_psd, _eig_ascending, _square, symmetrize
+from .errors import NonFiniteEvaluation, NotPositiveSemiDefinite, SingularNoiseSqrt
 
 __all__ = [
     "DecorrelationResult",
@@ -56,14 +56,14 @@ def nonlinearity(Xi: np.ndarray, noise_cov: np.ndarray) -> float:
 
     Invariant under invertible re-mixing of the measurement vector, so it
     measures how non-quadratic-free the model is regardless of
-    parametrization.  Raises ValueError on non-finite input and LinAlgError
-    if the noise covariance is not positive definite.
+    parametrization.  Raises ValueError on a non-finite Xi and, as a
+    :class:`MeasurementModel` does, NotPositiveSemiDefinite on a noise
+    covariance that fails the PSD check or has no Cholesky factor.
     """
-    noise_cov = np.asarray_chkfinite(_covariance(noise_cov, "noise covariance"))
-    c, info = dpotrf(noise_cov, lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError("noise covariance is not positive definite")
-    return float(dpotrs(c, np.asarray_chkfinite(Xi, dtype=float), lower=1)[0].trace())
+    factor = _check_psd(noise_cov, "noise covariance")[1]
+    if factor is None:
+        raise NotPositiveSemiDefinite("noise covariance is not positive definite")
+    return float(dpotrs(factor, np.asarray_chkfinite(Xi, dtype=float), lower=1)[0].trace())
 
 
 def decorrelate(

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class so
-that filter loops and the benchmark harness can distinguish a numerically
-broken update (recorded as a divergence) from a misconfigured campaign
-(reported to the user) without string matching.
+that a campaign books a filter step's ``NumericalFailure``, and nothing else,
+as a divergence, and stops on any other error (a misconfigured campaign, say)
+without string matching.
 """
 
 
@@ -33,6 +33,10 @@ class SingularInnovation(NumericalFailure):
 
 class SingularNoiseSqrt(NumericalFailure):
     """The measurement-noise square root cannot be inverted."""
+
+
+class EigenSolverFailure(NumericalFailure):
+    """A LAPACK symmetric eigensolver did not converge."""
 
 
 class EmptySample(PukfError):

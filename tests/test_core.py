@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dsyevd, dsyevr
 
 from pukf import (
+    EigenSolverFailure,
     GaussianState,
     LinearStateModel,
     MeasurementModel,
+    NonFiniteEvaluation,
     NonSymmetricInput,
     NotPositiveSemiDefinite,
+    NumericalFailure,
     SingularInnovation,
     matrix_sqrt,
     nonlinearity,
@@ -166,8 +169,11 @@ class TestGaussianState:
         assert st.dim == 2
 
     def test_rejects_nonfinite_mean(self):
-        with pytest.raises(ValueError):
-            GaussianState([np.nan], [[1.0]])
+        # A numerical failure, as a non-finite covariance is: an overflowing
+        # posterior mean books a divergence
+        for mean in (np.nan, np.inf):
+            with pytest.raises(NonFiniteEvaluation, match="mean"):
+                GaussianState([mean], [[1.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -188,10 +194,13 @@ class TestGaussianState:
 class TestMeasurementModel:
     def test_noise_must_be_positive_definite(self):
         # Non-finite too: OpenBLAS potrf passes NaN through with info == 0.
+        # nonlinearity judges its noise by the same rule.
         nan_off = [[1.0, np.nan], [np.nan, 1.0]]
         for noise in ([[0.0]], [[np.nan]], [[np.inf]], nan_off):
             with pytest.raises(NotPositiveSemiDefinite):
                 MeasurementModel(func=lambda x: x, value=np.zeros(len(noise)), noise_cov=noise)
+            with pytest.raises(NotPositiveSemiDefinite):
+                nonlinearity(np.zeros((len(noise), len(noise))), noise)
 
     def test_sqrt_noise_is_the_matrix_sqrt(self):
         rng = np.random.default_rng(5)
@@ -323,10 +332,11 @@ class TestLapackEigensolvers:
         # numpy's layout, which later matmuls depend on
         assert sym_eig_ascending(a)[0].flags.c_contiguous
 
-    def test_a_failed_call_is_a_linalg_error(self):
-        # dsyevd does not converge on NaN input; numpy raises the same class
-        with pytest.raises(np.linalg.LinAlgError, match="LAPACK info"):
+    def test_a_failed_call_is_an_eigen_solver_failure(self):
+        # dsyevd does not converge on NaN input; a campaign books that as a divergence
+        with pytest.raises(EigenSolverFailure, match="LAPACK info") as failure:
             _sym_eig(dsyevd, np.full((3, 3), np.nan), True)
+        assert isinstance(failure.value, NumericalFailure)
 
 
 def eigenvalue_rule(cov):

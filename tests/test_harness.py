@@ -106,7 +106,14 @@ INVALID_PARAMETERS = (
 NON_INTEGER_COUNTS = (
     dict(runs=2.5), dict(runs=2.0), dict(runs="2"), dict(runs=True),
     dict(steps=1.5), dict(steps=None), dict(jobs=1.5), dict(ref_particles=2.5),
-    dict(ref_particles=20000.0),
+    dict(ref_particles=20000.0), dict(seed=1.5), dict(seed="0"),
+)
+
+# Other fields of the wrong kind or range; each must be a ConfigError up
+# front, not a ValueError from SeedSequence or an AttributeError from a spec.
+BAD_FIELDS = (
+    dict(seed=-1), dict(filters=(1,)), dict(filters=("ekf", None)),
+    dict(include_timing="no"), dict(include_timing=1),
 )
 
 
@@ -136,7 +143,10 @@ class TestCampaignConfig:
         for counts in NON_INTEGER_COUNTS:
             with pytest.raises(ConfigError, match="integer"):
                 CampaignConfig(**good, **counts)
-        CampaignConfig(**good, runs=np.int64(2), ref_particles=0)
+        for fields in BAD_FIELDS:
+            with pytest.raises(ConfigError):
+                CampaignConfig(**{**good, **fields})
+        CampaignConfig(**good, runs=np.int64(2), ref_particles=0, seed=np.uint32(7))
 
     def test_a_filter_listed_twice_is_rejected(self):
         # The label is the report key, so a repeated label would write every
@@ -243,8 +253,8 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("label", ["pukf@1", "ekf2n", "ukf", "pf@50"])
     def test_non_numerical_error_is_not_a_divergence(self, label):
-        # Only NumericalFailure (and numpy's LinAlgError) books a divergence;
-        # any other PukfError from a filter step reaches the caller.
+        # Only NumericalFailure books a divergence; any other PukfError from
+        # a filter step reaches the caller.
         spec, *_ = linear_scenario()
 
         def misconfigured(xs):
@@ -256,8 +266,7 @@ class TestRunCampaign:
             run_campaign(cfg, scenario_spec=spec)
 
     def test_non_finite_measurement_is_a_divergence(self):
-        spec, *_ = linear_scenario()
-        spec = replace_model(spec, 4, 2, func=lambda xs: np.full((len(xs), 2), np.nan))
+        spec, h_mat, *_ = linear_scenario()
         filters = (
             "pukf@1", "pukf@-inf", "ekf", "ekf2", "ekf2n", "ukf", "iekf@5", "ruf@4",
             "pf@200",
@@ -265,17 +274,21 @@ class TestRunCampaign:
         cfg = CampaignConfig(
             scenario="polynomial", filters=filters, runs=2, steps=4, seed=5
         )
-        report, records = run_campaign(cfg, scenario_spec=spec)
-        for rec in records:
-            for label, data in rec["filters"].items():
-                assert data["diverged_at"] == 2, label
-                assert np.all(np.isfinite(data["errors"][:2])), label
-                assert data["errors"][2:] == [np.inf, np.inf], label
-        for label in filters:
-            for p in DEFAULT_PROBS:
-                assert np.isfinite(report.value(label, "error_q", 1, p)), label
-                for t in (2, 3):
-                    assert report.value(label, "error_q", t, p) == np.inf, (label, t, p)
+        # A NaN map, and a gain that overflows the posterior mean.
+        for fields in (
+            dict(func=lambda xs: np.full((len(xs), 2), np.nan)), overflowing_gain(h_mat),
+        ):
+            report, records = run_campaign(cfg, replace_model(spec, 4, 2, **fields))
+            for rec in records:
+                for label, data in rec["filters"].items():
+                    assert data["diverged_at"] == 2, label
+                    assert np.all(np.isfinite(data["errors"][:2])), label
+                    assert data["errors"][2:] == [np.inf, np.inf], label
+            for label in filters:
+                for p in DEFAULT_PROBS:
+                    assert np.isfinite(report.value(label, "error_q", 1, p)), label
+                    for t in (2, 3):
+                        assert report.value(label, "error_q", t, p) == np.inf, (label, t, p)
 
     def test_singular_innovation_is_a_divergence(self):
         spec, h_mat, *_ = linear_scenario()
@@ -477,7 +490,7 @@ def chained_steps(text, seed, log_prior, log_noise, scenario):
             try:
                 state = adapter.step(state, dynamics, model, rng)
                 est = adapter.estimate(state)
-            except (NumericalFailure, np.linalg.LinAlgError) as exc:
+            except NumericalFailure as exc:
                 return exc
             assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
             truth = dynamics.transition @ truth + sample_gaussian(rng, dynamics.noise_cov, 1)[0]
@@ -515,12 +528,33 @@ def test_pukf_holds_up_to_a_prior_noise_ratio_of_1e6(text, seed, log_prior, log_
     assert chained_steps(text, seed, log_prior, log_noise, "polynomial") is None
 
 
+def overflowing_gain(a):
+    """Model fields of the linear map 1e-200 a x with value 1e300 and noise
+    1e-300 I: the innovation is the noise, so a gain near 1e100 meets a
+    residual of 1e300 and the posterior mean overflows."""
+    d, n = a.shape
+    tiny = 1e-200 * a
+    return dict(
+        func=lambda xs: xs @ tiny.T, value=np.full(d, 1e300), noise_cov=1e-300 * np.eye(d),
+        jacobian=lambda x: tiny, hessians=lambda x: np.zeros((d, n, n)),
+    )
+
+
+def one_step(text, prior, state_model, model, rng):
+    """The estimate after one step of a filter from ``prior``; a warning is an error."""
+    _, name, param = parse_filter(text)
+    adapter = FILTERS[name].build(param)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = adapter.step(adapter.init(prior, rng), state_model, model, rng)
+        return adapter.estimate(state)
+
+
 @pytest.mark.parametrize("text", STEP_SPECS)
 def test_an_overflowing_prior_fails_numerically(text):
     # At these scales the second-order probe statistics of the polynomial
     # map overflow; a filter must book that as a numerical failure, with no
     # warning, and not raise a ValueError that would stop the campaign.
-    _, name, param = parse_filter(text)
     spec = SCENARIOS["polynomial"]()
     # At 10^152.4 the spread correction is finite, up to 1.5e308, but the sum
     # of it and its transpose is not: symmetrize halves before it adds.
@@ -528,15 +562,23 @@ def test_an_overflowing_prior_fails_numerically(text):
         rng = np.random.default_rng(int(log_scale))
         prior = GaussianState(spec.prior.mean, 10.0**log_scale * spec.prior.cov)
         model = spec.measurement_generator(spec.prior.mean, rng)
-        adapter = FILTERS[name].build(param)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                state = adapter.step(adapter.init(prior, rng), spec.state_model, model, rng)
-                est = adapter.estimate(state)
-            except (NumericalFailure, np.linalg.LinAlgError):
-                continue
+        try:
+            est = one_step(text, prior, spec.state_model, model, rng)
+        except NumericalFailure:
+            continue
         assert np.isfinite(est.mean).all() and np.isfinite(est.cov).all()
+    # A prior mean that far_near's constant-velocity prediction overflows.
+    far_near = SCENARIOS["bearings_far_near"]()
+    rng = np.random.default_rng(0)
+    prior = GaussianState(np.full(4, 1.5e308), far_near.prior.cov)
+    model = far_near.measurement_generator(far_near.prior.mean, rng)
+    with pytest.raises(NumericalFailure):
+        one_step(text, prior, far_near.state_model, model, rng)
+    # A posterior mean that overflows, on the polynomial's linear part.
+    model = spec.measurement_generator(spec.prior.mean, rng)
+    model = dataclasses.replace(model, **overflowing_gain(model.jacobian(spec.prior.mean)))
+    with pytest.raises(NumericalFailure):
+        one_step(text, spec.prior, spec.state_model, model, rng)
 
 
 def bundled_blas_threads():
@@ -749,6 +791,12 @@ class TestCli:
             path.write_text(json.dumps({**fields, **counts}))
             assert cli_main(["run", "--config", str(path)]) == 2, counts
             assert "integer" in capsys.readouterr().err
+        for bad in BAD_FIELDS:
+            fields = dict(scenario="polynomial", filters=["ekf"], runs=1, steps=1)
+            path.write_text(json.dumps({**fields, **bad}))
+            assert cli_main(["run", "--config", str(path)]) == 2, bad
+        assert cli_main(argv + ["--filters", "ekf", "--seed", "-1"]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides",
