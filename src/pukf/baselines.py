@@ -57,7 +57,7 @@ def _first_order(mean, cov, model: AnalyticMeasurementModel, noise_cov):
 
 def ekf_update(prior: GaussianState, model: AnalyticMeasurementModel) -> GaussianState:
     """First-order extended Kalman update with an analytic Jacobian."""
-    return GaussianState(*_first_order(prior.mean, prior.cov, model, model.noise_cov))
+    return GaussianState._posterior(*_first_order(prior.mean, prior.cov, model, model.noise_cov))
 
 
 def ekf2_update_analytic(
@@ -78,7 +78,7 @@ def ekf2_update_analytic(
     big_xi = symmetrize(np.einsum("kab,lba->kl", ph, ph))
     yhat = model.evaluate(prior.mean[None])[0] + 0.5 * xi
     s = jac @ prior.cov @ jac.T + 0.5 * big_xi + model.noise_cov
-    return GaussianState(
+    return GaussianState._posterior(
         *_correct(prior.mean, prior.cov, model.value - yhat, s, prior.cov @ jac.T)
     )
 
@@ -122,7 +122,7 @@ def ukf_update(prior: GaussianState, model: MeasurementModel) -> GaussianState:
     """Unscented measurement update."""
     y_mean, y_cov, xy_cov = unscented_transform(model.evaluate, prior.mean, prior.cov)
     s = y_cov + model.noise_cov
-    return GaussianState(
+    return GaussianState._posterior(
         *_correct(prior.mean, prior.cov, model.value - y_mean, s, xy_cov)
     )
 
@@ -145,7 +145,7 @@ def iekf_update(
         s = jac @ prior.cov @ jac.T + model.noise_cov
         residual = model.value - model.evaluate(x[None])[0] - jac @ (mu0 - x)
         x, cov = _correct(mu0, prior.cov, residual, s, prior.cov @ jac.T)
-    return GaussianState(x, cov)
+    return GaussianState._posterior(x, cov)
 
 
 def ruf_update(
@@ -165,7 +165,7 @@ def ruf_update(
     mean, cov = prior.mean, prior.cov
     for _ in range(steps):
         mean, cov = _first_order(mean, cov, model, inflated)
-    return GaussianState(mean, cov)
+    return GaussianState._posterior(mean, cov)
 
 
 @dataclass(frozen=True)

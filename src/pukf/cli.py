@@ -85,10 +85,7 @@ def _merge_config(args) -> CampaignConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "scenario" not in values:
         raise ConfigError("a scenario is required (--scenario or config file)")
-    filters = values.get("filters") or []
-    if isinstance(filters, str):
-        filters = [f for f in filters.split(",") if f.strip()]
-    values["filters"] = tuple(filters)
+    values.setdefault("filters", ())
 
     try:
         return CampaignConfig(**values)

@@ -80,18 +80,23 @@ def _check_psd(cov: np.ndarray, name: str) -> tuple[np.ndarray, Optional[np.ndar
     """The one PSD rule: the symmetrized, finite covariance and its ``dpotrf`` factor, or None
     where only the eigenvalue rule (w_min >= -PSD_SLACK w_max) accepts it; else it raises."""
     cov = symmetrize(_covariance(cov, name))
+    return cov, _psd_factor(cov, name)
+
+
+def _psd_factor(cov: np.ndarray, name: str) -> Optional[np.ndarray]:
+    """:func:`_check_psd` on a symmetric float matrix: its factor, or None, or it raises."""
     if not np.isfinite(cov).all():
         raise NotPositiveSemiDefinite(f"{name} contains non-finite entries")
     factor, info = dpotrf(cov, lower=1, clean=1)
     if info == 0:
-        return cov, np.ascontiguousarray(factor)
+        return np.ascontiguousarray(factor)
     w = _sym_eig(dsyevd, cov, False)[0]
     if w[0] < -PSD_SLACK * max(w[-1], 0.0):
         raise NotPositiveSemiDefinite(
             f"{name} has eigenvalue {w[0]:.3e} below the PSD tolerance "
             f"(largest eigenvalue {w[-1]:.3e})"
         )
-    return cov, None
+    return None
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,26 @@ class GaussianState:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if not np.isfinite(mean).all():
-            raise NonFiniteEvaluation("mean contains non-finite entries")
-        cov, factor = _check_psd(self.cov, "state covariance")
+        cov = symmetrize(_covariance(self.cov, "state covariance"))
+        self._settle(mean, cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape}"
             )
+
+    def _settle(self, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """The validation kernel, on a float vector and a symmetric matrix of its size."""
+        if not np.isfinite(mean).all():
+            raise NonFiniteEvaluation("mean contains non-finite entries")
+        object.__setattr__(self, "_cholesky", _psd_factor(cov, "state covariance"))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_cholesky", factor)
+        return self
+
+    @classmethod
+    def _posterior(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """The belief of :func:`_correct`'s arrays, exactly symmetric as built: the kernel only."""
+        return object.__new__(cls)._settle(mean, cov)
 
     @property
     def dim(self) -> int:

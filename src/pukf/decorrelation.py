@@ -78,7 +78,8 @@ def decorrelate(
     Xi : ndarray, shape (d, d)
         Symmetric PSD spread-correction matrix from a linearization.
     sqrt_noise : ndarray or None
-        Lower-triangular square root of the measurement noise covariance.
+        Lower-triangular square root of the measurement noise covariance; a
+        non-finite entry raises NonFiniteEvaluation in the whitened matrix.
         ``None`` means the noise is already the identity and the whitening
         solves are skipped.
     threshold : float
@@ -96,9 +97,10 @@ def decorrelate(
     if sqrt_noise is None:
         whitened = Xi
     else:
-        sqrt_noise = np.asarray_chkfinite(sqrt_noise, dtype=float)
+        sqrt_noise = np.asarray(sqrt_noise, dtype=float)  # non-finite: whitened is checked
         diag = np.abs(sqrt_noise.diagonal())
-        if diag.min() <= 0.0 or diag.max() / diag.min() > 1e12:
+        low = diag.min()
+        if not (low > 0.0 and diag.max() / low <= 1e12):  # a NaN fails too
             raise SingularNoiseSqrt("measurement-noise square root is numerically singular")
         # BLAS trsm rather than scipy.linalg.solve_triangular: OpenBLAS runs
         # the LAPACK trtrs behind the latter on its thread pool even for 2x2
@@ -111,7 +113,7 @@ def decorrelate(
     if not np.isfinite(whitened).all():
         raise NonFiniteEvaluation("whitened spread correction contains non-finite entries")
     u, w = _eig_ascending(whitened)
-    lambdas = np.clip(w, 0.0, None)
+    lambdas = np.maximum(w, 0.0)  # np.clip(w, 0.0, None) is this call
     if sqrt_noise is None:
         d_mat = u.T
     else:

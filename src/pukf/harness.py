@@ -204,8 +204,8 @@ def parse_filter(text: str):
 class CampaignConfig:
     """Everything that defines a campaign.
 
-    ``filters`` are spec strings ("pukf@0.1", "ruf@3", "ekf"), each built
-    once here, so a parameter no filter can run with is a ConfigError.
+    ``filters`` are spec strings ("pukf@0.1", "ruf@3", "ekf"), a list or one comma-separated
+    string, each built once here, so a parameter no filter can run with is a ConfigError.
     ``steps`` is every run's length; no scenario sets one.  ``ref_particles`` of 0
     disables the particle reference and the KL metric.  ``include_timing``
     adds wall-clock rows, which are the only non-deterministic output.
@@ -224,7 +224,16 @@ class CampaignConfig:
     scenario_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
+        filters = self.filters
+        if isinstance(filters, str):
+            filters = [f for f in filters.split(",") if f.strip()]
+        if not isinstance(filters, (list, tuple)):
+            raise ConfigError(f"filters must be a string or a list, got {filters!r}")
+        object.__setattr__(self, "filters", tuple(filters))
+        if not isinstance(self.scenario, str):
+            raise ConfigError(f"scenario must be a string, got {self.scenario!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string or null, got {self.out!r}")
         if not self.filters:
             raise ConfigError("filter list must not be empty")
         counts = {"runs": 1, "steps": 1, "jobs": 1, "ref_particles": 0, "seed": 0}
@@ -285,12 +294,7 @@ class MetricsReport:
         """Look up a single row's value; raises KeyError if absent."""
         want_p = "" if p is None else f"{p:g}"
         for row in self.rows:
-            if (
-                row.filter == filter
-                and row.metric == metric
-                and row.step == str(step)
-                and row.p == want_p
-            ):
+            if (row.filter, row.metric, row.step, row.p) == (filter, metric, str(step), want_p):
                 return row.value
         raise KeyError(f"no row for {filter} {metric} step={step} p={p}")
 
@@ -480,10 +484,6 @@ def _aggregate(cfg: CampaignConfig, spec: ScenarioSpec, records: list) -> Metric
 # Campaign driver with flush/resume.
 
 
-def _partial_path(out: str) -> str:
-    return out + ".runs.jsonl"
-
-
 def _load_partial(path: str, want_hash: str, want_code: str) -> dict:
     done = {}
     try:
@@ -525,7 +525,7 @@ def run_campaign(
     done = {}
     flush_fh = None
     if cfg.out:
-        partial = _partial_path(cfg.out)
+        partial = cfg.out + ".runs.jsonl"
         # A resume reuses only runs of this code: a digest of the package's sources
         # and numpy's and scipy's versions (BLAS moves bits), kept out of config_hash.
         try:

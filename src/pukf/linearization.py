@@ -66,20 +66,21 @@ class LinearizationSummary:
 
 def _eval(evaluate, points):
     ys = evaluate(points)
-    bad = ~np.isfinite(ys).all(axis=1)
-    if np.any(bad):
-        raise NonFiniteEvaluation(
-            f"function returned a non-finite value at probe point {points[bad][0]}"
-        )
+    if not np.isfinite(ys).all():  # one scan; the rows only to name the first bad probe
+        bad = points[np.isfinite(ys).all(axis=1).argmin()]
+        raise NonFiniteEvaluation(f"function returned a non-finite value at probe point {bad}")
     return ys
 
 
 @functools.cache  # one entry per state dimension, read-only as every call shares it
 def _probe_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    indices = (np.arange(n), *np.triu_indices(n, 1))
-    for a in indices:
+    """The cross probes (i, j), i < j, and Q's map into the stacked second differences."""
+    i, j = np.triu_indices(n, 1)
+    where = np.diag(np.arange(n))  # Q[:, a, b] is row where[a, b]: n diagonal rows, then (i, j)'s
+    where[i, j] = where[j, i] = np.arange(n, n + len(i))
+    for a in (i, j, where):
         a.setflags(write=False)
-    return indices
+    return i, j, where
 
 
 def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> LinearizationSummary:
@@ -107,18 +108,20 @@ def linearize(evaluate, mean: np.ndarray, sqrt_cov: np.ndarray) -> Linearization
     sqrt_cov = np.asarray(sqrt_cov, dtype=float)
     n = mean.shape[0]
     delta = GAMMA * sqrt_cov.T  # row i is the i-th probe offset
-    diag, i, j = _probe_indices(n)
-    plus_points = mean + delta
-    stencil = np.vstack([mean, plus_points, mean - delta, plus_points[i] + delta[j]])
+    i, j, where = _probe_indices(n)
+    stencil = np.empty((1 + 2 * n + len(i), n))
+    stencil[0] = mean
+    plus_points = np.add(mean, delta, out=stencil[1 : n + 1])
+    np.subtract(mean, delta, out=stencil[n + 1 : 2 * n + 1])
+    np.add(plus_points[i], delta[j], out=stencil[2 * n + 1 :])
 
     ys = _eval(evaluate, stencil)
     h0, plus, minus, cross = ys[0], ys[1 : n + 1], ys[n + 1 : 2 * n + 1], ys[2 * n + 1 :]
 
     M = (plus - minus).T / (2.0 * GAMMA)
 
-    Q = np.empty((h0.shape[0], n, n))
-    Q[:, diag, diag] = ((plus + minus - 2.0 * h0) / (GAMMA * GAMMA)).T
-    Q[:, i, j] = Q[:, j, i] = ((cross - plus[i] - plus[j] + h0) / (GAMMA * GAMMA)).T
+    second = np.concatenate([plus + minus - 2.0 * h0, cross - plus[i] - plus[j] + h0])
+    Q = (second / (GAMMA * GAMMA)).T.take(where, axis=1)
 
     xi = Q.trace(axis1=1, axis2=2)
     Xi = np.einsum("kij,lij->kl", Q, Q)  # (k, l), (l, k): same products, same order
@@ -145,6 +148,6 @@ def ekf2_update_numerical(prior: GaussianState, model: MeasurementModel) -> Gaus
     lin = linearize(model.evaluate, prior.mean, sqrt_p)
     yhat = lin.h_at_mean + 0.5 * lin.xi
     s = lin.M @ lin.M.T + 0.5 * lin.Xi + model.noise_cov
-    return GaussianState(
+    return GaussianState._posterior(
         *_correct(prior.mean, prior.cov, model.value - yhat, s, sqrt_p @ lin.M.T)
     )

@@ -98,9 +98,12 @@ def pukf_update(
 
         yhat = head @ (lin.h_at_mean + 0.5 * lin.xi)
         b = head @ lin.M  # (k, n)
-        s = b @ b.T + 0.5 * np.diag(dec.lambdas[:k]) + np.eye(k)
+        s = b @ b.T
+        diag = s.reshape(-1)[:: k + 1]  # a view: b b' + diag(lambdas)/2 + I, added in place
+        diag += 0.5 * dec.lambdas[:k]
+        diag += 1.0
         post = _correct(state.mean, state.cov, head @ model.value - yhat, s, sqrt_p @ b.T)
-        state = GaussianState(*post)
+        state = GaussianState._posterior(*post)
         rounds.append(PartialUpdateRound(dec.lambdas, k, state.mean, state.cov))
 
         # The remaining elements in the transformed basis; their noise is

@@ -22,7 +22,9 @@ from pukf import (
     nonlinearity,
     sym_eig_ascending,
 )
-from pukf.core import PSD_SLACK, _solve_spd, _sym_eig, symmetrize
+from pukf.core import PSD_SLACK, _correct, _solve_spd, _sym_eig, symmetrize
+
+from helpers import random_spd
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pukf"
 
@@ -408,3 +410,47 @@ def test_the_factor_first_check_decides_as_the_eigenvalue_rule(
     assert outcome(LinearStateModel, np.eye(d), cov) is want
     if want is None:
         check_accepted_covariance(cov)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 6),
+    kind=st.sampled_from(["posterior", "singular", "indefinite", "nan_mean", "inf_cov"]),
+    log_scale=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_posterior_kernel_keeps_the_constructors_bits(n, d, kind, log_scale, seed):
+    # _correct's posterior is exactly symmetric, so the validation kernel alone
+    # gives it the mean, cov and sqrt_cov bytes the constructor gives it (the
+    # second symmetrize returns the same bits while entries stay above 2**-1021,
+    # below which halving rounds), and raises the same class where it fails.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    cov = random_spd(rng, n, scale)
+    h_mat = rng.normal(size=(d, n))
+    s = h_mat @ cov @ h_mat.T + random_spd(rng, d, scale)
+    mean, post = _correct(rng.normal(size=n), cov, rng.normal(size=d), s, cov @ h_mat.T)
+    if kind == "singular":  # dpotrf may fail; the eigenvalue rule decides
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        post = symmetrize((q * np.where(rng.random(n) < 0.5, 0.0, scale)) @ q.T)
+    elif kind == "indefinite":
+        post = symmetrize(post - rng.uniform(1.5, 2.0) * np.abs(post).max() * np.eye(n))
+    elif kind == "nan_mean":
+        mean[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "inf_cov":
+        i, j = rng.integers(n, size=2)
+        post[i, j] = post[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    assert bits(post).tolist() == bits(post.T).tolist()
+    want = outcome(GaussianState, mean.copy(), post.copy())
+    assert want is {
+        "nan_mean": NonFiniteEvaluation,
+        "inf_cov": NotPositiveSemiDefinite,
+        "indefinite": NotPositiveSemiDefinite,
+    }.get(kind, outcome(eigenvalue_rule, post))
+    assert outcome(GaussianState._posterior, mean.copy(), post.copy()) is want
+    if want is None:
+        full = GaussianState(mean.copy(), post.copy())
+        kernel = GaussianState._posterior(mean.copy(), post.copy())
+        for name in ("mean", "cov", "sqrt_cov"):
+            assert bits(getattr(kernel, name)).tolist() == bits(getattr(full, name)).tolist()

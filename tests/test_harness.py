@@ -114,6 +114,9 @@ NON_INTEGER_COUNTS = (
 BAD_FIELDS = (
     dict(seed=-1), dict(filters=(1,)), dict(filters=("ekf", None)),
     dict(include_timing="no"), dict(include_timing=1),
+    # Mistyped fields that a config file can hold: each a ConfigError here,
+    # not a TypeError where the harness first uses the field.
+    dict(filters=5), dict(out=5), dict(scenario=["polynomial"]),
 )
 
 
@@ -147,6 +150,11 @@ class TestCampaignConfig:
             with pytest.raises(ConfigError):
                 CampaignConfig(**{**good, **fields})
         CampaignConfig(**good, runs=np.int64(2), ref_particles=0, seed=np.uint32(7))
+
+    def test_filters_may_be_one_comma_separated_string(self):
+        # as the command line gives them
+        cfg = CampaignConfig(scenario="polynomial", filters="ekf,pukf@1,")
+        assert cfg.filters == ("ekf", "pukf@1")
 
     def test_a_filter_listed_twice_is_rejected(self):
         # The label is the report key, so a repeated label would write every

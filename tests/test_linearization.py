@@ -12,6 +12,7 @@ from pukf import (
     matrix_sqrt,
 )
 from pukf.core import AnalyticMeasurementModel
+from pukf.linearization import GAMMA
 from pukf.baselines import ekf_update
 from pukf.scenarios import _bearings_model
 
@@ -141,6 +142,57 @@ class TestLinearize:
         sqrt_p = matrix_sqrt(random_spd(rng, n, 10.0**log_scale))
         lin = linearize(evaluate, rng.normal(size=n), sqrt_p)
         assert same_bits(lin.Xi, np.triu(lin.Xi) + np.triu(lin.Xi, 1).T)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        d=st.integers(1, 6),
+        log_scale=st.floats(-6.0, 6.0),
+        bearings=st.booleans(),
+    )
+    def test_assembly_keeps_the_stacked_bits(self, seed, n, d, log_scale, bearings):
+        # The stencil written in place and Q taken from the stacked second
+        # differences give the bits of the vstack and fancy-assignment code;
+        # n = 1 has no cross probes.  The maps work element by element: at
+        # n = 2 the vstack laid the stencil out in Fortran order, so a map
+        # that hands the rows to BLAS (xs @ B') may round differently there.
+        rng = np.random.default_rng(seed)
+        if bearings:
+            n = max(n, 2)
+            sensors = rng.normal(scale=5.0, size=(d, 2))
+            func = _bearings_model(sensors, np.eye(d), rng.uniform(-3, 3, d)).func
+        else:
+            a, b = rng.normal(size=(2, n, d))
+            mix = lambda xs, w: sum(xs[:, [c]] * w[c] for c in range(n))  # (N, d)
+            func = lambda xs: np.sin(mix(xs, a)) * np.exp(0.1 * mix(xs, b)) + mix(xs, b) ** 2
+        points = []
+        evaluate = lambda xs: points.append(xs.copy()) or func(xs)
+        mean = rng.normal(size=n)
+        sqrt_p = matrix_sqrt(random_spd(rng, n, 10.0**log_scale))
+        lin = linearize(evaluate, mean, sqrt_p)
+        want = stacked_linearize(evaluate, mean, sqrt_p)
+        assert same_bits(points[0], points[1])
+        for name, value in zip(("M", "Q", "xi", "Xi", "h_at_mean"), want):
+            assert same_bits(getattr(lin, name), value), name
+
+
+def stacked_linearize(evaluate, mean, sqrt_cov):
+    """``linearize``'s (M, Q, xi, Xi, h_at_mean) as it assembled them before:
+    one vstack of four temporaries for the stencil and three fancy-index
+    assignments for Q.  The bits its in-place assembly must keep."""
+    n = mean.shape[0]
+    delta = GAMMA * sqrt_cov.T
+    diag, (i, j) = np.arange(n), np.triu_indices(n, 1)
+    plus_points = mean + delta
+    stencil = np.vstack([mean, plus_points, mean - delta, plus_points[i] + delta[j]])
+    ys = evaluate(stencil)
+    h0, plus, minus, cross = ys[0], ys[1 : n + 1], ys[n + 1 : 2 * n + 1], ys[2 * n + 1 :]
+    M = (plus - minus).T / (2.0 * GAMMA)
+    Q = np.empty((h0.shape[0], n, n))
+    Q[:, diag, diag] = ((plus + minus - 2.0 * h0) / (GAMMA * GAMMA)).T
+    Q[:, i, j] = Q[:, j, i] = ((cross - plus[i] - plus[j] + h0) / (GAMMA * GAMMA)).T
+    return M, Q, Q.trace(axis1=1, axis2=2), np.einsum("kij,lij->kl", Q, Q), h0
 
 
 class TestEkf2Update:

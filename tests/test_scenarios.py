@@ -23,7 +23,9 @@ from pukf import (
     simulate_truth,
     wrap_angle,
 )
-from pukf.scenarios import _bearings_model
+from pukf.baselines import ukf_update, unscented_transform
+from pukf.errors import SingularInnovation
+from pukf.scenarios import _bearings_model, _bearings_raw
 
 from helpers import same_bits
 
@@ -372,6 +374,29 @@ class TestBearingsScenarios:
             (step,) = simulate_truth(spec, 1, seed)
             _, trace = pukf_update(prior, step.measurement, threshold)
             assert trace.split_sizes == (1, 1), seed
+
+    def test_the_one_far_near_divergence_in_100_benchmark_campaigns(self):
+        # Run 16 of the benchmark's far_near campaign 85 at workload seed 1
+        # (campaign seed 1 * 1000 + 85), step 0; the truth stream is the run's
+        # first SeedSequence child.  The predicted mean's bearing from the
+        # near sensor lies pi from the measured one, the ukf's sigma points
+        # (alpha = 1e-3) straddle the wrap, and their weights push y_mean to
+        # -1.57e6: the innovation covariance's condition is 2.1e14.  No other
+        # update diverged in campaigns 0-99 at seeds 1 and 7919.
+        spec = scenario_bearings_far_near()
+        truth_seq = np.random.SeedSequence([1085, 16]).spawn(1)[0]
+        ((_, model),) = simulate_truth(spec, 1, np.random.default_rng(truth_seq))
+        assert [v.hex() for v in model.value] == ["0x1.931ad51479662p-1", "0x1.564af8efcc2b4p+1"]
+        prior = spec.state_model.predict(spec.prior)
+        near = _bearings_raw(prior.mean[None], np.array([[2.0, 2.0]]))[0, 0]
+        assert abs(wrap_angle(near - model.value[0])) == pytest.approx(np.pi, abs=0.01)
+        y_mean = unscented_transform(model.evaluate, prior.mean, prior.cov)[0]
+        assert y_mean[0] < -1e6
+        with pytest.raises(SingularInnovation, match="2.1[0-9]*e\\+14"):
+            ukf_update(prior, model)
+        for threshold in (-np.inf, 0.1, 1.0, np.inf):
+            post, _ = pukf_update(prior, model, threshold)
+            assert np.isfinite(post.mean).all() and np.isfinite(post.cov).all()
 
     def test_velocity_rows_are_zero(self):
         spec = scenario_bearings_far_near()

@@ -84,10 +84,13 @@ def test_tracer_installs_counts_and_restores_the_package():
         # round read the belief's kept factor, GaussianState.sqrt_cov, and
         # pukf's noise factor is the model's own sqrt_noise.
         "core.matrix_sqrt": 3,
-        # The scenario prior; per step 7 predictions and 7 posteriors, pukf's
-        # being its last round's state; and one more state for each pukf
-        # round after the first of its update.
-        "core.GaussianState": 1 + 3 * (7 + 7) + (rounds - 3),
+        # The scenario prior and per step 7 predictions: the states built from
+        # outside arrays.  Every posterior, each pukf round's included, is
+        # _correct's exactly symmetric arrays and takes the validation kernel
+        # alone (GaussianState._posterior), not __post_init__, so the
+        # 3 * 7 posteriors and the rounds - 3 later pukf rounds drop out of the
+        # 1 + 3 * (7 + 7) + (rounds - 3) counted before.
+        "core.GaussianState": 1 + 3 * 7,
         "evaluation.ellipsoid_coverage": 7 * 3,
         "evaluation.error_quantiles": 7 * 3,
         # Truth: the initial state and process and measurement noise per
