@@ -124,7 +124,7 @@ class GaussianState:
             )
 
     def _settle(self, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
-        """The validation kernel, on a float vector and a symmetric matrix of its size."""
+        """The validation kernel, on a float vector and a symmetric float matrix."""
         if not np.isfinite(mean).all():
             raise NonFiniteEvaluation("mean contains non-finite entries")
         object.__setattr__(self, "_cholesky", _psd_factor(cov, "state covariance"))

@@ -134,16 +134,21 @@ class TestDecorrelate:
             assert rotated[0, 0] >= lam[0] - 1e-10
 
     def test_singular_noise_sqrt_rejected(self):
-        with pytest.raises(SingularNoiseSqrt):
-            decorrelate(np.eye(2), np.diag([1.0, 0.0]), 1.0)
+        for diagonal in ([1.0, 0.0], [1.0, 1e-13], [np.nan, 1.0]):  # a NaN ratio too
+            with pytest.raises(SingularNoiseSqrt):
+                decorrelate(np.eye(2), np.diag(diagonal), 1.0)
 
     def test_a_non_finite_whitened_matrix_is_a_numerical_failure(self):
-        # The same class with and without whitening, and where whitening a
-        # finite Xi by a tiny noise overflows.
+        # The same class with and without whitening, where whitening a finite
+        # Xi by a tiny noise overflows, and where the noise factor itself is
+        # not finite: the whitened matrix is where decorrelate checks it.
         for xi_mat, sqrt_noise in (
             (np.diag([np.nan, 1.0]), None),
             (np.diag([np.inf, 1.0]), np.eye(2)),
             (np.diag([1e300, 1.0]), 1e-10 * np.eye(2)),
+            (np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])),
+            (np.eye(2), np.array([[1.0, 0.0], [np.nan, 1.0]])),
+            (np.zeros((2, 2)), np.array([[1.0, 0.0], [np.inf, 1.0]])),  # as 0 * inf
         ):
             with pytest.raises(NonFiniteEvaluation):
                 decorrelate(xi_mat, sqrt_noise, 1.0)
